@@ -13,7 +13,7 @@
 //	                  guard trips / attestation failures / rollback epochs,
 //	                  compiled-program cache hits / misses / evictions /
 //	                  builds / in-flight under "progcache", sharded-solve
-//	                  counts / devices lost / reshards / frame retransmits /
+//	                  counts / devices lost / reshards / rollbacks /
 //	                  quarantined chips under "shard")
 //
 // Shedding is typed on the wire: 429 overloaded, 422 deadline too
@@ -30,10 +30,10 @@
 //	hunipud -quality 'bounded(0.05)'               # default quality tier for requests
 //	hunipud -brownout 0.01,0.05,0.1                # ε brownout ladder under pressure
 //
-// Sharded solves are guarded by default (GuardChecksums): collective
-// frames are checksummed and retransmitted, shard row blocks are
-// probed, Byzantine chips are quarantined, and answers are attested.
-// Pass -guard off explicitly to measure the unguarded fabric.
+// Sharded solves run HunIPU over a multi-chip tile space and are
+// guarded by default (GuardChecksums): checksums are kept per chip, a
+// chip caught corrupting state twice is quarantined, and answers are
+// attested. Pass -guard off explicitly to measure the unguarded fabric.
 package main
 
 import (

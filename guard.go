@@ -54,14 +54,13 @@ func ParseGuardPolicy(name string) (GuardPolicy, error) {
 // WithFaultSchedule) supplies the default, so a replayable schedule
 // spec captures the full experiment including its defense level.
 //
-// On a sharded attempt (WithShards) the policy arms the fabric guard
-// layer instead of the single-device engine: collective frames are
-// checksummed and retransmitted on mismatch, each shard's row block is
-// probed at guard cadence, Byzantine chips are quarantined and their
-// rows re-sharded, and the final answer is attested. Sharded attempts
-// that would otherwise resolve to GuardOff run at GuardChecksums;
-// WithGuard(GuardOff) (or guard=off in the schedule) is the explicit
-// opt-out that disables the layer, attestation included.
+// On a sharded attempt (WithShards) the same engine guard keeps its
+// checksums per chip, so a trip names the chip holding the corrupted
+// state, and a chip caught again after a clean rollback is quarantined
+// out of the fabric. Sharded attempts that would otherwise resolve to
+// GuardOff run at GuardChecksums; WithGuard(GuardOff) (or guard=off in
+// the schedule) is the explicit opt-out that disables the layer,
+// attestation included.
 func WithGuard(g GuardPolicy) Option {
 	return func(c *config) {
 		c.guard = g

@@ -80,6 +80,7 @@ type config struct {
 
 	// Sharding knobs; see sharding.go.
 	shards    int
+	sharded   bool
 	minFabric int
 
 	// Degradation-ladder knobs; see quality.go.

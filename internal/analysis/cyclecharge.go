@@ -8,10 +8,10 @@ import (
 )
 
 // CycleCharge verifies the cost model's soundness invariant: every
-// path through internal/ipu, internal/poplar and internal/shard that
-// performs modeled device work (guard checksum contributions, probe
-// evaluations, //hunipulint:work-annotated primitives) must also pass
-// a charging call (Device.ChargeGuard/ChargeExchange/ChargeSync, a
+// path through internal/ipu and internal/poplar that performs modeled
+// device work (guard checksum contributions, probe evaluations,
+// //hunipulint:work-annotated primitives) must also pass a charging
+// call (Device.ChargeGuard/ChargeSync, a
 // superstep advance, a pending-cycle accrual, or a
 // //hunipulint:charges-annotated helper) before returning. Work that
 // can reach a return uncharged silently deflates the paper's cycle
@@ -30,24 +30,22 @@ var CycleCharge = &Analyzer{
 }
 
 // cycleChargePkgs scopes the check to the cost-model layers.
-var cycleChargePkgs = []string{"internal/ipu", "internal/poplar", "internal/shard"}
+var cycleChargePkgs = []string{"internal/ipu", "internal/poplar"}
 
 // workPrimitives are the leaf functions that *are* the modeled work;
 // they are exempt from reporting (their callers carry the charge
 // obligation) and calls to them are work sites.
 var workPrimitives = map[string]bool{
-	"GuardContribution": true,
-	"sumContribution":   true,
+	"sumContribution": true,
 }
 
 // chargeMethods are the charging calls on the device cost model,
 // matched structurally (method of a type named Device) so fixtures
 // and the real internal/ipu.Device both qualify.
 var chargeMethods = map[string]bool{
-	"ChargeGuard":    true,
-	"ChargeExchange": true,
-	"ChargeSync":     true,
-	"Superstep":      true,
+	"ChargeGuard": true,
+	"ChargeSync":  true,
+	"Superstep":   true,
 }
 
 func inCycleChargeScope(path string) bool {
@@ -178,8 +176,8 @@ func (st *ccState) classify(f *FuncNode, n *CFGNode, withCallees bool) stmtFacts
 		return facts
 	}
 	info := f.Pkg.Info
-	// Pending-cycle accrual (g.pending[d] += n) is how the shard
-	// guard layer batches charges; treat it as a charging statement.
+	// Pending-cycle accrual (l.pending[d] += n) batches charges into a
+	// ledger flushed at a barrier; treat it as a charging statement.
 	if as, ok := n.Stmt.(*ast.AssignStmt); ok && as.Tok == token.ADD_ASSIGN {
 		for _, lhs := range as.Lhs {
 			if selNameContains(lhs, "pending") {
@@ -312,7 +310,7 @@ func (st *ccState) findLeak(f *FuncNode) *ccWitness {
 	return best
 }
 
-// isChargeCall matches d.ChargeGuard/ChargeExchange/ChargeSync and
+// isChargeCall matches d.ChargeGuard/ChargeSync and
 // d.Superstep on a type named Device in a scoped package.
 func isChargeCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -49,7 +49,7 @@ func checkErrCompare(p *Pass, be *ast.BinaryExpr) {
 			"error compared with %s; use errors.Is so wrapped errors still match", be.Op)
 		return
 	}
-	// Comparing concrete typed-error values (*shard.FabricError,
+	// Comparing concrete typed-error values (*core.FabricError,
 	// *faultinject.CorruptionError, ...) with == is pointer identity,
 	// not fault-class equality: two distinct allocations of the same
 	// fault compare unequal, and a wrapped instance never matches.

@@ -10,8 +10,8 @@ import (
 )
 
 // LockDiscipline enforces two whole-program rules over the mutexes
-// guarding the shard supervisor, the serve breaker/queue, and the
-// compiled-program cache:
+// guarding the compiled programs and their cache, and the serve
+// breaker/queue:
 //
 //  1. No blocking operation while a mutex is held: channel sends and
 //     receives (unless polled through a select with default), select
@@ -38,7 +38,6 @@ var LockDiscipline = &Analyzer{
 var lockDisciplinePkgs = []string{
 	"internal/core",
 	"internal/serve",
-	"internal/shard",
 	"internal/poplar",
 	"internal/faultinject",
 	"internal/ipu",

@@ -2,18 +2,17 @@
 // work (guard checksum contributions, probe evaluations) that can
 // reach a return without a charging call.
 //
-//hunipulint:path hunipu/internal/shard/fixture
+//hunipulint:path hunipu/internal/poplar/fixture
 package fixture
 
 // Device mirrors the ipu cost model's charging surface.
-type Device struct{ guard, exch int64 }
+type Device struct{ guard int64 }
 
-func (d *Device) ChargeGuard(n int64)       { d.guard += n }
-func (d *Device) ChargeExchange(b, x int64) { d.exch += b + x }
+func (d *Device) ChargeGuard(n int64) { d.guard += n }
 
-// GuardContribution is the modeled work primitive (the fixture twin
-// of poplar.GuardContribution).
-func GuardContribution(v float64, idx int) uint64 {
+// sumContribution is the modeled work primitive (the fixture twin of
+// poplar's sumContribution).
+func sumContribution(v float64, idx int) uint64 {
 	return uint64(idx+1) * uint64(int64(v*16))
 }
 
@@ -28,7 +27,7 @@ type InvariantProbe struct {
 func VerifyBlock(d *Device, data []float64, want uint64) bool {
 	var sum uint64
 	for i, v := range data {
-		sum += GuardContribution(v, i) // want "uncharged modeled work: call to GuardContribution"
+		sum += sumContribution(v, i) // want "uncharged modeled work: call to sumContribution"
 	}
 	if sum != want {
 		return false
@@ -42,7 +41,7 @@ func VerifyBlock(d *Device, data []float64, want uint64) bool {
 func blockSum(data []float64) uint64 {
 	var s uint64
 	for i, v := range data {
-		s += GuardContribution(v, i)
+		s += sumContribution(v, i)
 	}
 	return s
 }
@@ -50,7 +49,7 @@ func blockSum(data []float64) uint64 {
 // Rebaseline leaks through blockSum: the finding lands on the call
 // with the full path in the message.
 func Rebaseline(d *Device, data []float64) uint64 {
-	return blockSum(data) // want "call to GuardContribution.*Rebaseline → blockSum"
+	return blockSum(data) // want "call to sumContribution.*Rebaseline → blockSum"
 }
 
 // PollProbes evaluates probes without charging their cost.

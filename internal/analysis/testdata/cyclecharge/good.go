@@ -2,17 +2,16 @@
 // charged directly, accrued into a pending ledger, discharged by a
 // charges-annotated helper, or charged before the work evaluates.
 //
-//hunipulint:path hunipu/internal/shard/fixture
+//hunipulint:path hunipu/internal/poplar/fixture
 package fixture
 
 // Device mirrors the ipu cost model's charging surface.
-type Device struct{ guard, exch int64 }
+type Device struct{ guard int64 }
 
-func (d *Device) ChargeGuard(n int64)       { d.guard += n }
-func (d *Device) ChargeExchange(b, x int64) { d.exch += b + x }
+func (d *Device) ChargeGuard(n int64) { d.guard += n }
 
-// GuardContribution is the modeled work primitive.
-func GuardContribution(v float64, idx int) uint64 {
+// sumContribution is the modeled work primitive.
+func sumContribution(v float64, idx int) uint64 {
 	return uint64(idx+1) * uint64(int64(v*16))
 }
 
@@ -26,7 +25,7 @@ type InvariantProbe struct {
 func VerifyBlock(d *Device, data []float64, want uint64) bool {
 	var sum uint64
 	for i, v := range data {
-		sum += GuardContribution(v, i)
+		sum += sumContribution(v, i)
 	}
 	d.ChargeGuard(int64(len(data)))
 	return sum == want
@@ -40,7 +39,7 @@ type ledger struct{ pending map[int]int64 }
 func (l *ledger) Accrue(dev int, data []float64) uint64 {
 	var sum uint64
 	for i, v := range data {
-		sum += GuardContribution(v, i)
+		sum += sumContribution(v, i)
 	}
 	l.pending[dev] += 2
 	return sum
@@ -56,7 +55,7 @@ func flushLater(d *Device, sum uint64) { _ = sum; _ = d }
 func Checksum(d *Device, data []float64) uint64 {
 	var sum uint64
 	for i, v := range data {
-		sum += GuardContribution(v, i)
+		sum += sumContribution(v, i)
 	}
 	flushLater(d, sum)
 	return sum
@@ -78,7 +77,7 @@ func Validate(d *Device, probes []*InvariantProbe) error {
 func chargedSum(d *Device, data []float64) uint64 {
 	var s uint64
 	for i, v := range data {
-		s += GuardContribution(v, i)
+		s += sumContribution(v, i)
 	}
 	d.ChargeGuard(int64(len(data)))
 	return s

@@ -30,7 +30,7 @@ func SeverString() error {
 	return fmt.Errorf("solve failed: %s", err) // want "without %w"
 }
 
-// FabricError mirrors the shard fault class: a concrete typed error.
+// FabricError mirrors the fabric fault class: a concrete typed error.
 type FabricError struct{ Device int }
 
 func (e *FabricError) Error() string { return "fabric fault" }

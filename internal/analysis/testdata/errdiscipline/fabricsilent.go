@@ -1,15 +1,15 @@
 //hunipulint:path hunipu/internal/fixture4
 
 // The fabric guard's quarantine path layers both typed errors: a
-// *CorruptionError attributed to one chip (checksum mismatch, probe
-// failure, retransmit exhaustion) is wrapped in a *FabricError once
+// *CorruptionError attributed to one chip (a per-chip checksum
+// mismatch) is wrapped in a *FabricError once
 // quarantining drops the fabric below its minimum. The degradation
 // ladder needs errors.As to reach BOTH types through every wrap — the
 // FabricError to learn which chips were quarantined, the inner
 // CorruptionError to tell Byzantine corruption from a plain device
 // loss. A %v anywhere on that path severs the chain and collapses a
 // fully attributed silent-corruption report into an opaque string.
-// This fixture models the shape without importing the real shard or
+// This fixture models the shape without importing the real core or
 // faultinject packages (fixtures are self-contained single-file
 // packages).
 package fixture4
@@ -34,7 +34,7 @@ func (e *CorruptionError) Error() string {
 
 func (e *CorruptionError) Unwrap() error { return e.Err }
 
-// FabricError mirrors shard.FabricError with the quarantine report:
+// FabricError mirrors core.FabricError with the quarantine report:
 // the chips Byzantine-classified and removed before the fabric fell
 // below its minimum.
 type FabricError struct {

@@ -32,7 +32,7 @@ func Render() string {
 	return b.String()
 }
 
-// FabricError mirrors the shard fault class: a concrete typed error.
+// FabricError mirrors the fabric fault class: a concrete typed error.
 type FabricError struct{ Device int }
 
 func (e *FabricError) Error() string { return "fabric fault" }

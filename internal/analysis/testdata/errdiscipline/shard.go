@@ -6,7 +6,7 @@
 // %v anywhere on that path silently turns "chip 2 died, 1 survivor
 // below minimum" into an opaque string — the ladder then cannot tell a
 // dead fabric from a typo. This fixture models the shape without
-// importing the real shard package (fixtures are self-contained
+// importing the real core package (fixtures are self-contained
 // single-file packages).
 package fixture3
 
@@ -15,7 +15,7 @@ import (
 	"fmt"
 )
 
-// FabricError mirrors shard.FabricError: a typed fabric-collapse
+// FabricError mirrors core.FabricError: a typed fabric-collapse
 // report with an Unwrap chain down to the finishing fault.
 type FabricError struct {
 	Devices   int

@@ -11,7 +11,6 @@ import (
 	"hunipu/internal/faultinject"
 	"hunipu/internal/ipuauction"
 	"hunipu/internal/lsap"
-	"hunipu/internal/shard"
 )
 
 // ChaosEntry is one solver that accepts a fault injector. Chaos runs
@@ -55,17 +54,13 @@ func ChaosRegistry() []ChaosEntry {
 		{
 			Name: "HunIPU-shard2",
 			New: func(inj faultinject.Injector, retries int) (lsap.Solver, error) {
-				return shard.New(shard.Options{
-					Config: smallIPU(), Devices: 2, Fault: inj, MaxRetries: retries, Cache: shard.NewPlanCache(),
-				})
+				return fabricIPU(2, core.Options{Fault: inj, MaxRetries: retries})
 			},
 		},
 		{
 			Name: "HunIPU-shard4",
 			New: func(inj faultinject.Injector, retries int) (lsap.Solver, error) {
-				return shard.New(shard.Options{
-					Config: smallIPU(), Devices: 4, Fault: inj, MaxRetries: retries, Cache: shard.NewPlanCache(),
-				})
+				return fabricIPU(4, core.Options{Fault: inj, MaxRetries: retries})
 			},
 		},
 		{

@@ -33,7 +33,6 @@ import (
 	"hunipu/internal/ipuauction"
 	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
-	"hunipu/internal/shard"
 )
 
 // Entry describes one registered solver and the constraints the
@@ -64,6 +63,17 @@ func smallIPU() ipu.Config {
 	cfg := ipu.MK2()
 	cfg.TilesPerIPU = 64
 	return cfg
+}
+
+// fabricIPU builds HunIPU on k chips of smallIPU that survives chip
+// losses down to one, drawing on its own program cache: a sweep's
+// survivor programs never leak into another run.
+func fabricIPU(k int, o core.Options) (*core.Solver, error) {
+	o.Config = smallIPU()
+	o.Config.IPUs = k
+	o.MinIPUs = 1
+	o.Cache = core.NewProgramCache(core.DefaultCacheCapacity)
+	return core.New(o)
 }
 
 // paddedFastHA adapts FastHA's power-of-two restriction to the common
@@ -127,14 +137,14 @@ func Registry() []Entry {
 		{
 			Name: "HunIPU-shard2",
 			New: func() (lsap.Solver, error) {
-				return shard.New(shard.Options{Config: smallIPU(), Devices: 2, Guard: poplar.GuardChecksums, Cache: shard.NewPlanCache()})
+				return fabricIPU(2, core.Options{Guard: poplar.GuardChecksums})
 			},
 			Certifying: true,
 		},
 		{
 			Name: "HunIPU-shard4",
 			New: func() (lsap.Solver, error) {
-				return shard.New(shard.Options{Config: smallIPU(), Devices: 4, Guard: poplar.GuardChecksums, Cache: shard.NewPlanCache()})
+				return fabricIPU(4, core.Options{Guard: poplar.GuardChecksums})
 			},
 			Certifying: true,
 		},

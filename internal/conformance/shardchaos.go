@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/faultinject"
 	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
-	"hunipu/internal/shard"
 )
 
-// ShardChaosConfig parameterises a fabric chaos sweep: the shard-level
-// counterpart of ChaosConfig, with device-loss and link-loss schedules
-// drawn per fabric size so chips die and links flap on every run shape.
+// ShardChaosConfig parameterises a fabric chaos sweep over multi-chip
+// HunIPU: the counterpart of ChaosConfig, with device-loss and
+// link-loss schedules drawn per fabric size so chips die and links flap
+// on every run shape.
 type ShardChaosConfig struct {
 	// Schedules is how many random shard schedules to draw per fabric.
 	Schedules int
@@ -45,7 +46,8 @@ type ShardChaosReport struct {
 	Survived   int
 	TypedError int
 	// DevicesLost / Reshards / Rollbacks sum the fabric events observed
-	// across all runs, failed ones included.
+	// across all runs, failed ones included; Rollbacks counts the
+	// checkpoint restores that absorbed transient faults.
 	DevicesLost int
 	Reshards    int
 	Rollbacks   int
@@ -54,7 +56,7 @@ type ShardChaosReport struct {
 }
 
 // RunShardChaos sweeps random device-loss and link-loss schedules over
-// sharded solvers and enforces the same invariant as RunChaos: every
+// multi-chip solvers and enforces the same invariant as RunChaos: every
 // run ends in a certified optimum or a typed error — a dying chip or a
 // flapping link must never yield a silently wrong assignment.
 func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosReport, error) {
@@ -86,7 +88,6 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosReport, error) {
 	}
 
 	for _, k := range cfg.Fabrics {
-		cache := shard.NewPlanCache()
 		for i := 0; i < cfg.Schedules; i++ {
 			sched := faultinject.RandomShardSchedule(rng, k)
 			for _, in := range instances {
@@ -94,27 +95,20 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosReport, error) {
 				// Guarded at the sharded default: loud loss schedules never
 				// trip the guard, but the sweep should exercise the same
 				// configuration production fabrics run.
-				s, err := shard.New(shard.Options{
-					Config:     smallIPU(),
-					Devices:    k,
-					Fault:      clone,
-					MaxRetries: cfg.Retries,
-					Guard:      poplar.GuardChecksums,
-					Cache:      cache,
+				s, err := fabricIPU(k, core.Options{
+					Fault: clone, MaxRetries: cfg.Retries, Guard: poplar.GuardChecksums,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("shardchaos: K=%d constructor: %w", k, err)
 				}
 				report.Runs++
 				//hunipulint:ignore ctxflow chaos sweeps are uncancellable by design, like RunChaos's Solve calls
-				res, err := s.SolveShards(context.Background(), in.m.Clone())
-				if res != nil {
-					report.DevicesLost += len(res.LostDevices)
-					report.Reshards += len(res.Reshards)
-					report.Rollbacks += res.Rollbacks
-				}
+				res, err := s.SolveDetailedContext(context.Background(), in.m.Clone())
 				var sol *lsap.Solution
 				if res != nil {
+					report.DevicesLost += len(res.Fabric.Lost)
+					report.Reshards += res.Fabric.Reshards
+					report.Rollbacks += res.Recovery.Retries
 					sol = res.Solution
 				}
 				switch classifyChaos(ct, in.m, in.cost, tol, sol, err, clone.Fired()) {

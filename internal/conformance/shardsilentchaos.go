@@ -6,19 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/faultinject"
 	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
-	"hunipu/internal/shard"
 )
 
 // ShardSilentChaosConfig parameterises a fabric-wide silent-corruption
-// sweep: RandomSilentSchedule drawn per fabric size, so on-wire frame
-// flips (linkflip), shard-block flips (shardflip), and the single-
-// device silent classes land across all K chips — half the schedules
-// also carrying an announced device-loss or link-loss rule, the mixed
-// loss+corruption regime the guard layer has to survive.
+// sweep: RandomSilentSchedule drawn per fabric size, so link flips
+// (linkflip), chip-memory flips (shardflip), and the single-device
+// silent classes land on state held on each of the K chips — half the
+// schedules also carrying an announced device-loss or link-loss rule,
+// the mixed loss+corruption regime the guard has to survive.
 type ShardSilentChaosConfig struct {
 	// Schedules is how many random silent schedules to draw per fabric.
 	Schedules int
@@ -57,11 +57,11 @@ type ShardSilentChaosReport struct {
 	Runs int
 	// Clean: no fault fired, certified optimal.
 	Clean int
-	// Survived: faults fired, the guard layer absorbed them
-	// (retransmit, rollback, quarantine), result certified optimal.
+	// Survived: faults fired, the guard absorbed them (rollback,
+	// quarantine), result certified optimal.
 	Survived int
 	// Corruptions: runs that failed with a typed *CorruptionError
-	// (directly or wrapped in a *shard.FabricError).
+	// (directly or wrapped in a *core.FabricError).
 	Corruptions int
 	// TypedFaults: runs that failed with a typed *FaultError (announced
 	// loss rules finishing the fabric off).
@@ -71,9 +71,8 @@ type ShardSilentChaosReport struct {
 	// injection-to-detection distance in supersteps.
 	Detections int
 	MaxLatency int64
-	// Retransmits / Quarantined / DevicesLost / Reshards / Rollbacks
-	// sum the fabric events observed across all runs, failed included.
-	Retransmits int
+	// Quarantined / DevicesLost / Reshards / Rollbacks sum the fabric
+	// events observed across all runs, failed included.
 	Quarantined int
 	DevicesLost int
 	Reshards    int
@@ -86,11 +85,11 @@ type ShardSilentChaosReport struct {
 }
 
 // RunShardSilentChaos sweeps random silent-corruption schedules (mixed
-// with announced losses) over sharded fabrics under cfg.Guard and
+// with announced losses) over multi-chip HunIPU under cfg.Guard and
 // enforces the certified-optimal-or-typed-error invariant for every
 // active policy. Run it at GuardOff to measure the escape instead: the
-// unguarded fabric commits corrupt frames and block flips, and Wrong
-// fills with the answers that got away.
+// unguarded fabric keeps the flips, and Wrong fills with the answers
+// that got away.
 func RunShardSilentChaos(cfg ShardSilentChaosConfig) (*ShardSilentChaosReport, error) {
 	if cfg.Schedules <= 0 {
 		cfg = DefaultShardSilentChaosConfig()
@@ -120,34 +119,27 @@ func RunShardSilentChaos(cfg ShardSilentChaosConfig) (*ShardSilentChaosReport, e
 	}
 
 	for _, k := range cfg.Fabrics {
-		cache := shard.NewPlanCache()
 		for i := 0; i < cfg.Schedules; i++ {
 			sched := faultinject.RandomSilentSchedule(rng, k)
 			for _, in := range instances {
 				clone := sched.Clone()
-				s, err := shard.New(shard.Options{
-					Config:     smallIPU(),
-					Devices:    k,
-					Fault:      clone,
-					MaxRetries: cfg.Retries,
-					Guard:      cfg.Guard,
-					Cache:      cache,
+				s, err := fabricIPU(k, core.Options{
+					Fault: clone, MaxRetries: cfg.Retries, Guard: cfg.Guard, MaxSupersteps: 20000,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("shardsilentchaos: K=%d constructor: %w", k, err)
 				}
 				report.Runs++
 				//hunipulint:ignore ctxflow chaos sweeps are uncancellable by design, like RunChaos's Solve calls
-				res, err := s.SolveShards(context.Background(), in.m.Clone())
+				res, err := s.SolveDetailedContext(context.Background(), in.m.Clone())
 				if res != nil {
-					report.Detections += res.GuardTrips
-					report.Retransmits += res.Retransmits
-					report.Quarantined += len(res.Quarantined)
-					report.DevicesLost += len(res.LostDevices)
-					report.Reshards += len(res.Reshards)
-					report.Rollbacks += res.Rollbacks
-					if res.DetectionLatency > report.MaxLatency {
-						report.MaxLatency = res.DetectionLatency
+					report.Detections += res.Recovery.GuardTrips
+					report.Quarantined += len(res.Fabric.Quarantined)
+					report.DevicesLost += len(res.Fabric.Lost)
+					report.Reshards += res.Fabric.Reshards
+					report.Rollbacks += res.Recovery.Retries
+					if res.Recovery.DetectionLatency > report.MaxLatency {
+						report.MaxLatency = res.Recovery.DetectionLatency
 					}
 				}
 				repro := func() string {

@@ -14,6 +14,8 @@ var poplarBacked = map[string]bool{
 	"HunIPU":            true,
 	"HunIPU-nocompress": true,
 	"HunIPU-2D":         true,
+	"HunIPU-shard2":     true,
+	"HunIPU-shard4":     true,
 	"IPU-Auction":       true,
 }
 

@@ -121,6 +121,13 @@ func newBuilder(o Options, n int) (*builder, error) {
 		}
 	}
 	rowTiles := tiles / b.colBlocks
+	if o.MinIPUs > 0 {
+		// A solve that survives chip losses lays its rows out for the
+		// smallest fabric it may shrink to, so every survivor program has
+		// the same row groups (and tensor shapes) and a checkpoint moves
+		// between them unchanged; only the groups' chip placement differs.
+		rowTiles = o.MinIPUs * o.Config.TilesPerIPU / b.colBlocks
+	}
 	if rowTiles == 0 {
 		rowTiles = 1
 	}
@@ -135,14 +142,15 @@ func newBuilder(o Options, n int) (*builder, error) {
 	if b.numBlocks == 0 {
 		b.numBlocks = 1
 	}
-	if b.numBlocks*b.colBlocks > tiles {
-		return nil, fmt.Errorf("core: n=%d needs %d tiles, device has %d (raise RowsPerTile)",
-			n, b.numBlocks*b.colBlocks, tiles)
+	chips := o.Config.IPUs
+	if perChip := (b.numBlocks + chips - 1) / chips; perChip*b.colBlocks > o.Config.TilesPerIPU {
+		return nil, fmt.Errorf("core: n=%d needs %d tiles per chip, a chip has %d (raise RowsPerTile)",
+			n, perChip*b.colBlocks, o.Config.TilesPerIPU)
 	}
 	// Scalars and path state live on the last tile not used by the
 	// matrix grid, keeping the most loaded tiles inside 624 KiB.
 	b.utilTile = tiles - 1
-	if b.utilTile < b.numBlocks*b.colBlocks {
+	if b.utilTile <= b.blockTile(b.numBlocks-1)+b.colBlocks-1 {
 		b.utilTile = 0
 	}
 
@@ -233,7 +241,23 @@ func newBuilder(o Options, n int) (*builder, error) {
 }
 
 // blockTile is the home tile of row group blk (its column block 0).
-func (b *builder) blockTile(blk int) int { return blk * b.colBlocks }
+// Row groups are spread evenly over the chips in order, lower chips
+// taking the remainder, so a multi-chip solve puts rows on every chip;
+// on a single chip this is blk*colBlocks.
+func (b *builder) blockTile(blk int) int {
+	chips := b.o.Config.IPUs
+	base, extra := b.numBlocks/chips, b.numBlocks%chips
+	// Chips below extra hold base+1 groups each, the rest base.
+	var chip, first int
+	if big := extra * (base + 1); blk < big {
+		chip = blk / (base + 1)
+		first = chip * (base + 1)
+	} else {
+		chip = extra + (blk-big)/base
+		first = big + (chip-extra)*base
+	}
+	return chip*b.o.Config.TilesPerIPU + (blk-first)*b.colBlocks
+}
 
 // rowTile is the home tile of row i.
 func (b *builder) rowTile(i int) int { return b.blockTile(i / b.rowsPerTile) }

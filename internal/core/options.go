@@ -112,6 +112,15 @@ type Options struct {
 	// own NewProgramCache.
 	Cache *ProgramCache
 
+	// MinIPUs, when > 0, lets a solve on a multi-chip Config outlive
+	// its chips: a fatal fault on one chip, or a chip the guard keeps
+	// catching corrupting state, drops that chip, and the solve resumes
+	// from its newest checkpoint on the program compiled for the
+	// survivors — until fewer than MinIPUs chips remain, when it fails
+	// with a *FabricError (see fabric.go). 0 keeps the single-device
+	// contract: fatal faults surface as they are.
+	MinIPUs int
+
 	// Guard selects the silent-corruption defense (see poplar.GuardPolicy):
 	// incremental tensor checksums, algorithm-level invariant probes over
 	// the dual potentials, and mandatory output attestation. Off (the
@@ -156,6 +165,12 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.RetryBackoff < 0 {
 		return o, fmt.Errorf("core: RetryBackoff = %v, want ≥ 0", o.RetryBackoff)
+	}
+	if o.MinIPUs < 0 || o.MinIPUs > o.Config.IPUs {
+		return o, fmt.Errorf("core: MinIPUs = %d, want in [0, %d]", o.MinIPUs, o.Config.IPUs)
+	}
+	if o.MinIPUs > 0 && o.Config.IPUs > maxFabricIPUs {
+		return o, fmt.Errorf("core: %d IPUs, a fabric that survives chip losses has at most %d", o.Config.IPUs, maxFabricIPUs)
 	}
 	if o.Guard < poplar.GuardOff || o.Guard > poplar.GuardParanoid {
 		return o, fmt.Errorf("core: Guard = %d, want a poplar.GuardPolicy", o.Guard)

@@ -51,6 +51,12 @@ type programKey struct {
 	parallelism     int
 	checkInvariants bool
 
+	// minIPUs and lost are the fabric topology: the layout floor and the
+	// original indices of chips a solve has dropped (bit i = chip i), so
+	// each survivor program is cached under its own key.
+	minIPUs int
+	lost    uint64
+
 	fault faultinject.Injector
 	owner *Solver
 }
@@ -66,10 +72,14 @@ func (k programKey) Fingerprint() string {
 	if k.owner != nil {
 		private = fmt.Sprintf(" private=%p", k.owner)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d inv=%v fault=%s%s",
+	fabric := ""
+	if k.minIPUs > 0 {
+		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
+	}
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d inv=%v fault=%s%s%s",
 		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow, k.rowsPerTile,
 		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
-		k.checkpointEvery, k.maxSupersteps, k.parallelism, k.checkInvariants, fault, private)
+		k.checkpointEvery, k.maxSupersteps, k.parallelism, k.checkInvariants, fault, fabric, private)
 }
 
 // CompiledProgram is one shape's reusable artefact: the laid-out
@@ -303,16 +313,17 @@ func (pc *ProgramCache) acquire(key programKey, build func() (*CompiledProgram, 
 	return ent.prog, true, ent.err
 }
 
-// keyFor derives the solver's compile fingerprint for an n×n problem.
-// Options that embed per-solver host-side state the fingerprint cannot
-// capture by value — a profiling accumulator, a trace writer, or an
-// injector whose dynamic type Go cannot compare — pin the program to
-// this Solver instead of sharing it process-wide.
-func (s *Solver) keyFor(n int) programKey {
+// keyFor derives the solver's compile fingerprint for an n×n problem
+// on the chips left after dropping the lost set (0 for every solve
+// that has lost none). Options that embed per-solver host-side state
+// the fingerprint cannot capture by value — a profiling accumulator, a
+// trace writer, or an injector whose dynamic type Go cannot compare —
+// pin the program to this Solver instead of sharing it process-wide.
+func (s *Solver) keyFor(n int, lost uint64) programKey {
 	o := s.opts
 	k := programKey{
 		n:                  n,
-		cfg:                o.Config,
+		cfg:                o.survivors(lost).Config,
 		colSegment:         o.ColSegment,
 		threadsPerRow:      o.ThreadsPerRow,
 		rowsPerTile:        o.RowsPerTile,
@@ -326,6 +337,8 @@ func (s *Solver) keyFor(n int) programKey {
 		maxSupersteps:      o.MaxSupersteps,
 		parallelism:        o.Parallelism,
 		checkInvariants:    o.CheckInvariants,
+		minIPUs:            o.MinIPUs,
+		lost:               lost,
 	}
 	if o.Fault != nil {
 		if reflect.TypeOf(o.Fault).Comparable() {
@@ -341,33 +354,36 @@ func (s *Solver) keyFor(n int) programKey {
 }
 
 // compileProgram is the cold path: graph construction, ahead-of-run
-// verification, and compilation for one shape. Everything here is
-// exactly what a warm-cache solve skips.
-func (s *Solver) compileProgram(n int) (*CompiledProgram, error) {
+// verification, and compilation for one shape on the chips left after
+// dropping the lost set. Everything here is exactly what a warm-cache
+// solve skips.
+func (s *Solver) compileProgram(n int, lost uint64) (*CompiledProgram, error) {
+	o := s.opts.survivors(lost)
 	// Fail fast on problems that cannot fit tile memory: the typed
 	// *ipu.CapacityError here is cheaper and more specific than the
 	// verifier's C2 diagnostic after a full graph construction. The
-	// estimate assumes the row-block layout, so the 2D ablation (whose
-	// tiles hold only a column segment of each row) skips it and relies
-	// on the verifier.
-	if !s.opts.Use2D {
-		if err := s.opts.Config.ValidateProblem(n, 0); err != nil {
+	// estimate assumes the row-block layout (for MinIPUs chips when the
+	// solve may shrink to them), so the 2D ablation (whose tiles hold
+	// only a column segment of each row) skips it and relies on the
+	// verifier.
+	if !o.Use2D {
+		if err := o.Config.ValidateProblem(n, o.MinIPUs); err != nil {
 			return nil, err
 		}
 	}
-	b, err := newBuilder(s.opts, n)
+	b, err := newBuilder(o, n)
 	if err != nil {
 		return nil, err
 	}
 	prog := b.buildProgram()
-	dev, err := ipu.NewDevice(s.opts.Config)
+	dev, err := ipu.NewDevice(o.Config)
 	if err != nil {
 		return nil, err
 	}
 	// The injector goes in before NewEngine so tile-memory faults can
 	// fire during graph compilation's allocations.
-	if s.opts.Fault != nil {
-		dev.SetInjector(s.opts.Fault)
+	if o.Fault != nil {
+		dev.SetInjector(o.Fault)
 	}
 	engOpts := []poplar.EngineOption{
 		poplar.WithRetry(s.opts.MaxRetries, s.opts.RetryBackoff),
@@ -397,5 +413,5 @@ func (s *Solver) compileProgram(n int) (*CompiledProgram, error) {
 	if s.opts.Guard != poplar.GuardOff {
 		b.registerInvariants(eng)
 	}
-	return &CompiledProgram{key: s.keyFor(n), b: b, eng: eng, dev: dev}, nil
+	return &CompiledProgram{key: s.keyFor(n, lost), b: b, eng: eng, dev: dev}, nil
 }

@@ -120,7 +120,7 @@ func TestFingerprintIsolation(t *testing.T) {
 		o.Cache = pc
 		v.mutate(&o)
 		s := newSolver(t, o)
-		k := s.keyFor(m.N)
+		k := s.keyFor(m.N, 0)
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("variants %q and %q share fingerprint %s", prev, v.name, k.Fingerprint())
 		}
@@ -142,7 +142,7 @@ func TestNonComparableInjectorPinsProgram(t *testing.T) {
 	o.Fault = funcInjector{fn: func() {}}
 	s1 := newSolver(t, o)
 	s2 := newSolver(t, o)
-	k1, k2 := s1.keyFor(12), s2.keyFor(12)
+	k1, k2 := s1.keyFor(12, 0), s2.keyFor(12, 0)
 	if k1.owner != s1 || k2.owner != s2 {
 		t.Fatalf("non-comparable injector did not pin programs to their solvers")
 	}
@@ -267,7 +267,7 @@ func TestGuardInputReleasedAfterSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	certifyOptimal(t, m, r.Solution)
-	cp, _, err := pc.acquire(s.keyFor(m.N), func() (*CompiledProgram, error) {
+	cp, _, err := pc.acquire(s.keyFor(m.N, 0), func() (*CompiledProgram, error) {
 		t.Fatal("unexpected rebuild")
 		return nil, nil
 	})

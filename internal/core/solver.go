@@ -48,6 +48,8 @@ func New(opts Options) (*Solver, error) {
 // Name implements lsap.Solver.
 func (s *Solver) Name() string {
 	switch {
+	case s.opts.MinIPUs > 0:
+		return fmt.Sprintf("HunIPU-shard%d", s.opts.Config.IPUs)
 	case s.opts.Use2D:
 		return "HunIPU-2D"
 	case s.opts.DisableCompression:
@@ -85,6 +87,10 @@ type Result struct {
 	// Recovery reports what the fault-recovery machinery did during the
 	// solve: transient faults survived, checkpoints saved and restored.
 	Recovery poplar.RunReport
+	// Fabric reports chip losses when Options.MinIPUs is set (nil
+	// otherwise). Such a solve returns its Result, with Fabric, Stats
+	// and Recovery filled in, even when it fails.
+	Fabric *Fabric
 }
 
 // Solve implements lsap.Solver.
@@ -114,8 +120,12 @@ func (s *Solver) SolveDetailed(c *lsap.Matrix) (*Result, error) {
 // SolveDetailedContext is SolveDetailed with cancellation support.
 func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Result, error) {
 	n := c.N
+	var fab *Fabric
+	if s.opts.MinIPUs > 0 {
+		fab = newFabric(s.opts.Config.IPUs)
+	}
 	if n == 0 {
-		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}}, nil
+		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}, Fabric: fab}, nil
 	}
 	for _, v := range c.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v == lsap.Forbidden {
@@ -124,73 +134,86 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	}
 
 	compileStart := time.Now()
-	cp, built, err := s.cache.acquire(s.keyFor(n), func() (*CompiledProgram, error) {
-		return s.compileProgram(n)
+	cp, built, err := s.cache.acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
+		return s.compileProgram(n, 0)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Runs serialize per program: tensor data is program-resident.
+	// Runs serialize per program: tensor data is program-resident. A
+	// multi-chip solve may end on a different program than it started
+	// on (see runFabric), so the release reads cp when the solve ends.
 	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	defer func() {
+		// The pristine input copy is instance state: release it when the
+		// solve ends so a warm cached program never pins a matrix-sized
+		// buffer (see the heap-retention regression test).
+		cp.b.input = nil
+		cp.mu.Unlock()
+	}()
 	compileTime := time.Since(compileStart)
-	b, eng, dev := cp.b, cp.eng, cp.dev
 
 	if cp.dirty {
 		// The previous run on this program failed mid-solve; restore the
 		// all-zero cold-engine state instead of recompiling.
-		eng.ZeroState()
+		cp.eng.ZeroState()
 		cp.dirty = false
 	}
-	if s.opts.Guard != poplar.GuardOff {
-		// The pristine input copy is instance state: release it when the
-		// solve ends so a warm cached program never pins a matrix-sized
-		// buffer (see the heap-retention regression test).
-		defer func() { b.input = nil }()
-	}
-	eng.ResetReport()
+	cp.eng.ResetReport()
 	// The clock reset precedes the host write so injection-schedule
 	// superstep coordinates are relative to the solve, every solve.
-	dev.ResetClock()
+	cp.dev.ResetClock()
 	//hunipulint:ignore lockdiscipline cp.mu intentionally serializes whole solves; tensor data is program-resident and the simulated engine takes no locks
-	if err := eng.HostWrite(b.slack, c.Data); err != nil {
+	if err := cp.eng.HostWrite(cp.b.slack, c.Data); err != nil {
 		cp.dirty = true
 		return nil, fmt.Errorf("core: input transfer failed: %w", err)
 	}
 	if s.opts.Guard != poplar.GuardOff {
 		// Pristine host-side copy for the invariant probes and the final
 		// attestation; must be in place before execution starts.
-		b.input = append([]float64(nil), c.Data...)
-		b.guardTol = guardTolerance(c.Data, s.opts.Epsilon)
+		cp.b.input = append([]float64(nil), c.Data...)
+		cp.b.guardTol = guardTolerance(c.Data, s.opts.Epsilon)
 	}
-	//hunipulint:ignore lockdiscipline the run loop is the critical section cp.mu exists to guard; it simulates the device and takes no locks
-	if err := eng.RunContext(ctx); err != nil {
-		cp.dirty = true // state may be inconsistent after a failure
+	var left poplar.RunReport
+	if fab != nil {
+		//hunipulint:ignore lockdiscipline a chip loss waits on the survivor program's build while holding the lost program; builds take no program locks and programs are locked in growing lost-set order
+		cp, left, err = s.runFabric(ctx, c, cp, fab)
+	} else {
+		//hunipulint:ignore lockdiscipline the run loop is the critical section cp.mu exists to guard; it simulates the device and takes no locks
+		err = cp.eng.RunContext(ctx)
+	}
+	b, eng, dev := cp.b, cp.eng, cp.dev
+	fail := failure{cp: cp, fab: fab, left: left}
+	if err != nil {
+		if _, ok := AsFabric(err); ok {
+			return fail.with(err)
+		}
 		if ce, ok := faultinject.AsCorruption(err); ok {
-			return nil, ce
+			return fail.with(ce)
 		}
 		if fe, ok := faultinject.AsFault(err); ok {
-			return nil, fe
+			return fail.with(fe)
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return fail.with(ctx.Err())
 		}
-		return nil, fmt.Errorf("core: execution failed: %w", err)
+		return fail.with(fmt.Errorf("core: execution failed: %w", err))
 	}
 	if b.pathErr.ScalarValue() != 0 {
 		err := fmt.Errorf("core: internal invariant violated during path augmentation")
-		cp.dirty = true
 		if s.opts.Guard != poplar.GuardOff {
-			return nil, eng.NewCorruptionError("structural:path", err)
+			return fail.with(eng.NewCorruptionError("structural:path", err))
 		}
-		return nil, err
+		return fail.with(err)
 	}
 
 	//hunipulint:ignore lockdiscipline reads program-resident tensors that cp.mu guards; lock-free engine, no re-entry possible
 	stars, err := eng.HostRead(b.rowStar)
 	if err != nil {
-		cp.dirty = true
-		return nil, fmt.Errorf("core: result transfer failed: %w", err)
+		if fab != nil {
+			fab.translate(err)
+		}
+		return fail.with(fmt.Errorf("core: result transfer failed: %w", err))
 	}
 	a := make(lsap.Assignment, n)
 	for i, v := range stars {
@@ -198,11 +221,10 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	}
 	if err := a.Validate(n); err != nil {
 		err = fmt.Errorf("core: produced invalid matching: %w", err)
-		cp.dirty = true
 		if s.opts.Guard != poplar.GuardOff {
-			return nil, eng.NewCorruptionError("structural:matching", err)
+			return fail.with(eng.NewCorruptionError("structural:matching", err))
 		}
-		return nil, err
+		return fail.with(err)
 	}
 	if s.opts.CheckInvariants {
 		if err := b.checkInvariants(a); err != nil {
@@ -218,8 +240,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		//hunipulint:ignore lockdiscipline attestation reads engine state under the same per-program serialization; lock-free engine
 		p, err := b.attest(eng, dev, c, a)
 		if err != nil {
-			cp.dirty = true
-			return nil, eng.NewCorruptionError("attestation", fmt.Errorf("core: output attestation failed: %w", err))
+			return fail.with(eng.NewCorruptionError("attestation", fmt.Errorf("core: output attestation failed: %w", err)))
 		}
 		pots = p
 	}
@@ -230,7 +251,8 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		MaxTileBytes: dev.MaxAllocated(),
 		CompileHost:  compileTime,
 		Cached:       !built,
-		Recovery:     eng.Report(),
+		Recovery:     addReport(left, eng.Report()),
+		Fabric:       fab,
 	}
 	if s.opts.Profile {
 		res.Profile = eng.Profile()
@@ -242,4 +264,22 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		}
 	}
 	return res, nil
+}
+
+// failure ends a solve that went wrong on cp: the program is marked
+// dirty and, for a multi-chip solve, what the fabric did is returned
+// alongside the error.
+type failure struct {
+	cp   *CompiledProgram
+	fab  *Fabric
+	left poplar.RunReport // reports of programs the solve moved off
+}
+
+func (f failure) with(err error) (*Result, error) {
+	f.cp.dirty = true
+	if f.fab == nil {
+		return nil, err
+	}
+	dev := f.cp.dev
+	return &Result{Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: addReport(f.left, f.cp.eng.Report()), Fabric: f.fab}, err
 }

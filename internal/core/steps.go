@@ -343,7 +343,7 @@ func (b *builder) buildStep2() poplar.Program {
 		for i, jf := range props.Data() {
 			a[i] = -1
 			j := int(jf)
-			if j >= 0 && cs[j] < 0 {
+			if j >= 0 && j < len(cs) && cs[j] < 0 {
 				cs[j] = float64(i)
 				a[i] = jf
 			}
@@ -456,10 +456,10 @@ func (b *builder) buildStep4() poplar.Program {
 					if lo >= nn {
 						break
 					}
-					for k := 0; k < int(cnts[s]); k++ {
+					for k := 0; k < int(cnts[s]) && lo+k < nn; k++ {
 						scanned++
 						j := int(cd[lo+k])
-						if cov[j] == 0 {
+						if j >= 0 && j < nn && cov[j] == 0 {
 							found = j
 							break segs
 						}

@@ -25,8 +25,6 @@ import (
 // ε or the solve fails with a typed *lsap.GapError — never silently
 // worse than promised.
 type Auction struct {
-	// EpsScale divides ε between scaling phases; 0 means the default 4.
-	EpsScale float64
 	// Epsilon is the target normalized optimality gap (see
 	// lsap.NormalizedGap). 0 runs the full scaling schedule; > 0 allows
 	// early termination at the first phase certified within Epsilon.
@@ -53,10 +51,6 @@ func (a Auction) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Soluti
 	n := c.N
 	if n == 0 {
 		return &lsap.Solution{Assignment: lsap.Assignment{}}, nil
-	}
-	scale := a.EpsScale
-	if scale <= 1 {
-		scale = 4
 	}
 	if math.IsNaN(a.Epsilon) || math.IsInf(a.Epsilon, 0) || a.Epsilon < 0 {
 		return nil, fmt.Errorf("cpuhung: auction Epsilon = %g, want finite ≥ 0", a.Epsilon)
@@ -161,7 +155,7 @@ func (a Auction) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Soluti
 		if eps < epsMin {
 			break
 		}
-		eps /= scale
+		eps /= lsap.AuctionEpsScale
 	}
 
 	if err := out.Validate(n); err != nil {

@@ -351,24 +351,6 @@ func BenchmarkParallelJV(b *testing.B) {
 	}
 }
 
-func TestAuctionEpsScaleVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	m := randomIntMatrix(rng, 40, 800)
-	want, err := (JV{}).Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scale := range []float64{2, 4, 10} {
-		got, err := (Auction{EpsScale: scale}).Solve(m)
-		if err != nil {
-			t.Fatalf("scale=%g: %v", scale, err)
-		}
-		if got.Cost != want.Cost {
-			t.Fatalf("scale=%g: cost %g, want %g", scale, got.Cost, want.Cost)
-		}
-	}
-}
-
 func TestMunkresZeroMatrix(t *testing.T) {
 	// All-zero costs: any permutation is optimal at cost 0; the greedy
 	// initial matching should already be perfect (no augmentation).

@@ -56,26 +56,25 @@ const (
 	SilentStaleRead
 	// DeviceLoss is the permanent loss of one chip in a multi-device
 	// fabric: the device stops responding and its tile memory is
-	// unrecoverable. Fatal for the device — but a sharded solver can
-	// re-shard the work over the survivors (see internal/shard), which
-	// is why this is a distinct class from DeviceReset: a reset device
-	// comes back, a lost device does not.
+	// unrecoverable. Fatal for the device — but a multi-chip solve can
+	// move to the program compiled for the survivors (see core's loss
+	// loop), which is why this is a distinct class from DeviceReset: a
+	// reset device comes back, a lost device does not.
 	DeviceLoss
 	// LinkLoss is a dropped or flapping inter-IPU link: the exchange
 	// that crossed it is lost, but the devices on both ends survive.
 	// Transient: after the link recovers, the fabric resumes from the
 	// last globally consistent checkpoint.
 	LinkLoss
-	// SilentLinkBitflip flips a bit in a collective frame on the wire
-	// between two chips of a fabric, past any fabric-level CRC. Silent:
-	// no error at the point — a frame checksum verified on receipt (the
-	// sharded guard layer) detects it and triggers a retransmit; an
-	// unguarded fabric commits the corrupted frame.
+	// SilentLinkBitflip flips a bit in data a superstep delivers to one
+	// chip of a fabric, past any fabric-level CRC: the exbitflip effect,
+	// landed on state held on the chip the fault fires on. Silent: only
+	// the guard's per-chip checksums see it.
 	SilentLinkBitflip
-	// SilentShardBitflip flips a bit in one shard's device-resident row
-	// block (tile SRAM holding that chip's slice of the slack matrix).
-	// Silent: only the per-shard incremental checksums or the
-	// supervisor's invariant cross-check can see it.
+	// SilentShardBitflip flips a bit in one chip's tile memory: the
+	// bitflip effect, landed on state held on the chip the fault fires
+	// on. Silent: only the per-chip checksums or the invariant probes can
+	// see it.
 	SilentShardBitflip
 
 	numClasses
@@ -278,10 +277,9 @@ type CorruptionError struct {
 	// during certified rollback.
 	PoisonedEpochs int
 	// Device is the fabric index of the chip the detection attributes
-	// the corruption to (-1 when unattributed: single-device engines,
-	// output attestation, supervisor-side detections). A fabric
-	// supervisor uses the attribution to strike — and eventually
-	// quarantine — the offending shard.
+	// the corruption to (-1 when unattributed: single-chip engines,
+	// invariant probes, output attestation). A multi-chip solve uses the
+	// attribution to quarantine a chip that keeps corrupting state.
 	Device int
 	// Err is the underlying detector report.
 	Err error

@@ -446,7 +446,7 @@ func RandomSchedule(rng *rand.Rand) *Schedule {
 // over a fabric of the given device count: device-scoped chip losses
 // (deviceloss), link flaps (linkloss), and the pre-existing announced
 // classes, mixed with device= predicates so faults land on specific
-// shards. Kept separate from RandomSchedule so single-device chaos
+// chips. Kept separate from RandomSchedule so single-device chaos
 // replays stay byte-identical. Device losses are always bounded (a
 // fabric only has so many chips to lose); link storms may be unlimited
 // — the rollback retry budget is what bounds those runs.
@@ -456,7 +456,7 @@ func RandomShardSchedule(rng *rand.Rand, devices int) *Schedule {
 	}
 	s := &Schedule{Seed: rng.Int63n(1 << 20)}
 	classes := []Class{DeviceLoss, DeviceLoss, LinkLoss, LinkLoss, ExchangeCorruption, HostTransferStall, DeviceReset}
-	phases := []string{"", "", "shard:s4*", "shard:s6*", "shard:s1*", "shard:*", "*"}
+	phases := []string{"", "", "s4_*", "s6_*", "s1_*", "s*", "*"}
 	nRules := 1 + rng.Intn(3)
 	for i := 0; i < nRules; i++ {
 		r := Rule{Class: classes[rng.Intn(len(classes))], At: -1, Times: 1, Device: -1}
@@ -475,8 +475,8 @@ func RandomShardSchedule(rng *rand.Rand, devices int) *Schedule {
 				r.Times = int64(1 + rng.Intn(3))
 			}
 		}
-		// Half the rules target a specific shard; the rest hit whichever
-		// device reaches the matching point first.
+		// Half the rules target a specific chip; the rest hit whichever
+		// chip reaches the matching point first.
 		if rng.Intn(2) == 0 {
 			r.Device = int64(rng.Intn(devices))
 		}
@@ -494,9 +494,9 @@ func RandomShardSchedule(rng *rand.Rand, devices int) *Schedule {
 //
 // An optional fabric size extends the sweep across K shards: with
 // devices[0] > 1 the draw adds the fabric-native silent classes
-// (linkflip frames on the wire, shardflip upsets in device-resident
-// row blocks), shard-flavored phases, and device= predicates so
-// corruption lands on specific chips — plus, half the time, one
+// (linkflip upsets of data crossing to a chip, shardflip upsets of a
+// chip's tile memory) and device= predicates so corruption lands on
+// specific chips — plus, half the time, one
 // bounded loud loss rule (deviceloss or linkloss), so sharded silent
 // sweeps mix loss and corruption the way real fabrics fail. Calling
 // it without a fabric size draws exactly the pre-fabric schedule, so
@@ -535,7 +535,7 @@ func RandomSilentSchedule(rng *rand.Rand, devices ...int) *Schedule {
 		SilentShardBitflip, SilentShardBitflip,
 		SilentTileBitflip, SilentExchangeBitflip,
 	}
-	phases := []string{"", "", "shard:s4*", "shard:s6*", "shard:s1*", "shard:*", "*"}
+	phases := []string{"", "", "s4_*", "s6_*", "s1_*", "s*", "*"}
 	nRules := 1 + rng.Intn(2)
 	for i := 0; i < nRules; i++ {
 		r := Rule{Class: classes[rng.Intn(len(classes))], At: -1, Times: 1, Device: -1}
@@ -550,9 +550,9 @@ func RandomSilentSchedule(rng *rand.Rand, devices ...int) *Schedule {
 			r.Prob = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
 			r.Times = int64(1 + rng.Intn(3))
 		}
-		// Half the rules target a specific shard so every chip of the
+		// Half the rules target a specific chip so every chip of the
 		// fabric sees corruption across a sweep; the rest hit whichever
-		// device reaches the matching point first.
+		// chip reaches the matching point first.
 		if rng.Intn(2) == 0 {
 			r.Device = int64(rng.Intn(k))
 		}
@@ -560,7 +560,7 @@ func RandomSilentSchedule(rng *rand.Rand, devices ...int) *Schedule {
 		s.Rules = append(s.Rules, r)
 	}
 	// Mixed loss + corruption: half the schedules also lose a chip or
-	// flap a link, bounded, so the quarantine/re-shard path runs while
+	// flap a link, bounded, so the loss and quarantine paths run while
 	// silent corruption is in flight.
 	if rng.Intn(2) == 0 {
 		r := Rule{Class: DeviceLoss, At: int64(rng.Intn(80)), Times: 1, Device: int64(rng.Intn(k))}

@@ -81,7 +81,7 @@ func TestDeviceClauseRoundTrip(t *testing.T) {
 		"seed=3; deviceloss at=40 device=2",
 		"seed=3; linkloss every=64 p=0.5",
 		"seed=9; deviceloss at=10 device=0; linkloss every=8 device=3 times=2",
-		"seed=1; deviceloss every=16 phase=shard:s4* device=1 times=1",
+		"seed=1; deviceloss every=16 phase=s4_* device=1 times=1",
 	}
 	for _, spec := range specs {
 		s, err := ParseSchedule(spec)
@@ -109,7 +109,7 @@ func TestDeviceClauseRoundTrip(t *testing.T) {
 // replays are byte-identical), and distinct devices flip distinct coins
 // (so a p= rule does not fault every shard of a superstep in lockstep).
 func TestDeviceCoinIndependence(t *testing.T) {
-	p := Point{Superstep: 12, Phase: "shard:s6_update", Kind: KindSuperstep}
+	p := Point{Superstep: 12, Phase: "s6_update", Kind: KindSuperstep}
 	base := coin(7, 0, p)
 	p.Device = 0
 	if coin(7, 0, p) != base {
@@ -128,7 +128,7 @@ func TestDeviceCoinIndependence(t *testing.T) {
 // TestFaultErrorDeviceSuffix pins the error text: device 0 keeps the
 // historical message, other devices append their index.
 func TestFaultErrorDeviceSuffix(t *testing.T) {
-	fe := &FaultError{Class: DeviceLoss, Point: Point{Superstep: 4, Phase: "shard:s4_scan", Kind: KindSuperstep}}
+	fe := &FaultError{Class: DeviceLoss, Point: Point{Superstep: 4, Phase: "s4_status", Kind: KindSuperstep}}
 	if strings.Contains(fe.Error(), ", device") {
 		t.Fatalf("device-0 message changed: %q", fe.Error())
 	}

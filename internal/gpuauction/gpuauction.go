@@ -30,8 +30,6 @@ type Options struct {
 	Config gpu.Config
 	// BlockThreads is the thread-block width. 0 means 256.
 	BlockThreads int
-	// EpsScale divides ε between scaling phases; 0 means 4.
-	EpsScale float64
 	// MaxRounds bounds the bidding rounds. 0 means 200·n per phase.
 	MaxRounds int64
 	// Epsilon is the target normalized optimality gap (see
@@ -65,12 +63,6 @@ func New(opts Options) (*Solver, error) {
 	}
 	if opts.BlockThreads < 0 || opts.BlockThreads > opts.Config.MaxThreadsPerBlock {
 		return nil, fmt.Errorf("gpuauction: BlockThreads = %d out of range", opts.BlockThreads)
-	}
-	if opts.EpsScale == 0 {
-		opts.EpsScale = 4
-	}
-	if opts.EpsScale <= 1 {
-		return nil, fmt.Errorf("gpuauction: EpsScale = %g, want > 1", opts.EpsScale)
 	}
 	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) || opts.Epsilon < 0 {
 		return nil, fmt.Errorf("gpuauction: Epsilon = %g, want finite ≥ 0", opts.Epsilon)
@@ -288,7 +280,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		if eps < epsMin {
 			break
 		}
-		eps /= s.opts.EpsScale
+		eps /= lsap.AuctionEpsScale
 	}
 
 	a := make(lsap.Assignment, n)

@@ -129,9 +129,6 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := New(Options{EpsScale: 0.5}); err == nil {
-		t.Fatal("EpsScale ≤ 1 accepted")
-	}
 	if _, err := New(Options{BlockThreads: 1 << 20}); err == nil {
 		t.Fatal("oversized block accepted")
 	}

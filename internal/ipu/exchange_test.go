@@ -142,61 +142,65 @@ func TestValidateProblemChecksConfigFirst(t *testing.T) {
 	}
 }
 
-// TestFabricIndexTargetsDeviceRules pins the device= predicate wiring:
-// a rule scoped to device 1 must fire only on the fabric member with
-// that index, and the index must ride along in the FaultError.
+// TestFabricIndexTargetsDeviceRules pins the multi-chip fault points: a
+// device of three chips consults the injector once per chip in
+// ascending order, so a device= rule fires on the chip it names and the
+// FaultError carries that chip's fabric index.
 func TestFabricIndexTargetsDeviceRules(t *testing.T) {
 	sched, err := faultinject.ParseSchedule("deviceloss at=0 device=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	devices := make([]*Device, 3)
-	for i := range devices {
-		d, err := NewDevice(fabricConfig(len(devices)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetFabricIndex(i)
-		d.SetInjector(sched)
-		devices[i] = d
+	d, err := NewDevice(fabricConfig(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, d := range devices {
-		if got := d.FabricIndex(); got != i {
-			t.Fatalf("FabricIndex() = %d, want %d", got, i)
-		}
-		fe := d.CheckFault("shard:s4_scan", faultinject.KindSuperstep)
-		if (fe != nil) != (i == 1) {
-			t.Fatalf("device %d: fault = %v, want fire only on device 1", i, fe)
-		}
-		if i == 1 {
-			if fe.Class != faultinject.DeviceLoss || fe.Point.Device != 1 {
-				t.Fatalf("fault = %+v, want DeviceLoss on device 1", fe)
-			}
-			var target *faultinject.FaultError
-			if !errors.As(fe, &target) {
-				t.Fatal("FaultError must stay errors.As-matchable")
-			}
-		}
+	d.SetInjector(sched)
+	fe := d.CheckFault("s4_find", faultinject.KindSuperstep)
+	if fe == nil || fe.Class != faultinject.DeviceLoss || fe.Point.Device != 1 {
+		t.Fatalf("fault = %+v, want DeviceLoss on chip 1", fe)
+	}
+	var target *faultinject.FaultError
+	if !errors.As(fe, &target) {
+		t.Fatal("FaultError must stay errors.As-matchable")
+	}
+
+	var seen []int
+	d.SetInjector(injectorFunc(func(p faultinject.Point) *faultinject.FaultError {
+		seen = append(seen, p.Device)
+		return nil
+	}))
+	d.CheckFault("s4_find", faultinject.KindSuperstep)
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
+		t.Fatalf("checked chips %v, want [0 1 2]", seen)
 	}
 }
 
-// Devices outside a fabric report index 0, so pre-sharding schedules
-// (which never mention device=) keep matching them.
+// TestDefaultFabricIndexIsZero pins the single-chip contract: exactly
+// one check per fault point, reported as device 0, so schedules that
+// never mention device= keep matching.
 func TestDefaultFabricIndexIsZero(t *testing.T) {
 	d, err := NewDevice(MK2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FabricIndex() != 0 {
-		t.Fatalf("fresh device FabricIndex = %d", d.FabricIndex())
-	}
-	sched, err := faultinject.ParseSchedule("exchange at=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetInjector(sched)
-	fe := d.CheckFault("phase", faultinject.KindSuperstep)
-	if fe == nil || fe.Point.Device != 0 {
+	checks := 0
+	d.SetInjector(injectorFunc(func(p faultinject.Point) *faultinject.FaultError {
+		checks++
+		if p.Device != 0 {
+			t.Fatalf("single chip reported device %d", p.Device)
+		}
+		return &faultinject.FaultError{Class: faultinject.ExchangeCorruption, Point: p}
+	}))
+	if fe := d.CheckFault("phase", faultinject.KindSuperstep); fe == nil || fe.Point.Device != 0 {
 		t.Fatalf("fault = %+v, want device-0 point", fe)
 	}
+	if checks != 1 {
+		t.Fatalf("%d checks for one fault point, want 1", checks)
+	}
 }
+
+// injectorFunc adapts a function to faultinject.Injector.
+type injectorFunc func(faultinject.Point) *faultinject.FaultError
+
+func (f injectorFunc) Check(p faultinject.Point) *faultinject.FaultError { return f(p) }

@@ -236,7 +236,6 @@ type Device struct {
 	allocated []int64 // bytes allocated per tile
 	stats     Stats
 	injector  faultinject.Injector
-	fabric    int // index of this chip within a multi-device fabric
 }
 
 // NewDevice creates a device for the configuration.
@@ -257,37 +256,42 @@ func (d *Device) Stats() Stats { return d.stats }
 // to exclude graph-construction or host-transfer phases from timings.
 func (d *Device) ResetClock() { d.stats = Stats{} }
 
+// ResumeClock sets the cycle counters to s, so a solve that moves onto
+// this device mid-run (after losing a chip of its old one) keeps its
+// superstep clock monotone and its modeled cycles cumulative.
+func (d *Device) ResumeClock(s Stats) { d.stats = s }
+
 // SetInjector installs a fault injector consulted at every superstep,
 // host transfer, and allocation. Pass nil to disable injection.
 func (d *Device) SetInjector(inj faultinject.Injector) { d.injector = inj }
-
-// SetFabricIndex labels the device with its chip index within a
-// multi-device fabric; every fault point it reports then carries the
-// index, so schedule rules with device= predicates can target it.
-// Devices outside a fabric keep the zero index.
-func (d *Device) SetFabricIndex(i int) { d.fabric = i }
-
-// FabricIndex returns the chip index set by SetFabricIndex.
-func (d *Device) FabricIndex() int { return d.fabric }
 
 // Injector returns the installed fault injector (nil when none).
 func (d *Device) Injector() faultinject.Injector { return d.injector }
 
 // CheckFault asks the injector whether a fault fires at the current
-// point in execution. The superstep coordinate is the device's
-// completed-superstep count, which is monotone within a run — retries
-// after a checkpoint restore keep the clock moving, so one-shot rules
-// do not refire on the replayed prefix. Returns nil without an injector.
+// point in execution, once per chip in ascending chip order; the first
+// fault wins and its Point.Device names the chip it fired on. A
+// single-chip device makes exactly one check, as chip 0. The superstep
+// coordinate is the device's completed-superstep count, which is
+// monotone within a run — retries after a checkpoint restore keep the
+// clock moving, so one-shot rules do not refire on the replayed prefix.
+// Returns nil without an injector.
 func (d *Device) CheckFault(phase string, kind faultinject.Kind) *faultinject.FaultError {
 	if d.injector == nil {
 		return nil
 	}
-	return d.injector.Check(faultinject.Point{
-		Superstep: d.stats.Supersteps,
-		Phase:     phase,
-		Kind:      kind,
-		Device:    d.fabric,
-	})
+	for chip := 0; chip < d.cfg.IPUs; chip++ {
+		fe := d.injector.Check(faultinject.Point{
+			Superstep: d.stats.Supersteps,
+			Phase:     phase,
+			Kind:      kind,
+			Device:    chip,
+		})
+		if fe != nil {
+			return fe
+		}
+	}
+	return nil
 }
 
 // ModeledTime converts the accumulated cycles to simulated wall time.
@@ -384,24 +388,6 @@ func (d *Device) Superstep(tileCycles map[int]int64, bytesIn, bytesOut map[int]i
 // predicate checks, which on hardware cost a sync but no exchange).
 func (d *Device) ChargeSync() {
 	d.stats.SyncCycles += d.cfg.SyncCycles
-}
-
-// ChargeExchange prices an extra exchange phase without advancing the
-// superstep clock: bytes move at the on-chip rate, crossIPUBytes at
-// the IPU-Link rate, exactly as in Superstep. Used for guard-layer
-// frame retransmits — a retransmitted collective repeats the wire cost
-// of the original frame, but it is a repair inside one BSP superstep,
-// so the lockstep clocks of the other chips stay aligned.
-func (d *Device) ChargeExchange(bytes, crossIPUBytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	ex := d.cfg.ExchangeLatencyCycles + int64(float64(bytes)/d.cfg.ExchangeBytesPerCycle)
-	if crossIPUBytes > 0 {
-		ex += int64(float64(crossIPUBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
-	}
-	d.stats.ExchangeCycles += ex
-	d.stats.BytesExchanged += bytes
 }
 
 // ChargeGuard prices n cycles of guard-layer work (checksum updates,

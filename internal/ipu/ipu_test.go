@@ -202,41 +202,15 @@ func TestChargeSync(t *testing.T) {
 	}
 }
 
-// TestChargeExchange pins the retransmit pricing primitive: the frame's
-// bytes are charged at the exchange (and, when crossing chips, the
-// IPU-Link) rate without advancing the superstep clock — so a
-// retransmitted collective costs cycles and bytes but keeps the
-// lockstep fabric clocks aligned.
-func TestChargeExchange(t *testing.T) {
-	cfg := MK2()
-	d, _ := NewDevice(cfg)
-	before := d.Stats()
-	d.ChargeExchange(4096, 0)
-	s := d.Stats()
-	want := cfg.ExchangeLatencyCycles + int64(4096/cfg.ExchangeBytesPerCycle)
-	if got := s.ExchangeCycles - before.ExchangeCycles; got != want {
-		t.Fatalf("on-chip retransmit: ExchangeCycles += %d, want %d", got, want)
-	}
-	if got := s.BytesExchanged - before.BytesExchanged; got != 4096 {
-		t.Fatalf("BytesExchanged += %d, want 4096", got)
-	}
-	if s.Supersteps != before.Supersteps {
-		t.Fatalf("ChargeExchange advanced the superstep clock: %d → %d", before.Supersteps, s.Supersteps)
-	}
-
-	// The same frame crossing chips pays the IPU-Link surcharge on top.
-	dCross, _ := NewDevice(cfg)
-	dCross.ChargeExchange(4096, 4096)
-	if on, cross := s.ExchangeCycles, dCross.Stats().ExchangeCycles; cross <= on {
-		t.Fatalf("cross-chip retransmit (%d) should cost more than on-chip (%d)", cross, on)
-	}
-
-	// Zero and negative byte counts are no-ops.
-	dNil, _ := NewDevice(cfg)
-	dNil.ChargeExchange(0, 1<<20)
-	dNil.ChargeExchange(-8, 0)
-	if got := dNil.Stats().ExchangeCycles; got != 0 {
-		t.Fatalf("empty retransmit charged %d cycles", got)
+// TestResumeClock pins the clock hand-over a solve uses when it moves
+// onto a new device after a chip loss: counters continue from the old
+// device's, so fault-point supersteps stay monotone.
+func TestResumeClock(t *testing.T) {
+	d, _ := NewDevice(MK2())
+	d.ResumeClock(Stats{Supersteps: 40, ComputeCycles: 7})
+	d.Superstep(map[int]int64{0: 5}, nil, nil, 0, 1)
+	if s := d.Stats(); s.Supersteps != 41 || s.ComputeCycles != 12 {
+		t.Fatalf("stats after resume = %+v, want 41 supersteps and 12 compute cycles", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
 )
 
@@ -250,13 +251,12 @@ func (b *auctionBuilder) program() poplar.Program {
 	// Options.Epsilon) — the early-termination knob of the degradation
 	// ladder.
 	epsMin := b.epsMin
-	scale := b.o.EpsScale
 	epsCheck := b.scalarStep("auc_epscheck", func(get func(int) float64, set func(int, float64)) {
 		e := get(0)
 		if e < epsMin {
 			set(1, 0) // phaseGo off: the sub-floor phase just ran
 		} else {
-			set(0, e/scale)
+			set(0, e/lsap.AuctionEpsScale)
 		}
 	}, []*poplar.Tensor{b.eps}, []*poplar.Tensor{b.eps, b.phaseGo})
 

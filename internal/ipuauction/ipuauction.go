@@ -31,8 +31,6 @@ import (
 type Options struct {
 	// Config is the simulated device; zero value means ipu.MK2().
 	Config ipu.Config
-	// EpsScale divides ε between phases; 0 means 4.
-	EpsScale float64
 	// RowsPerTile fixes the row mapping; 0 derives ceil(n/tiles).
 	RowsPerTile int
 	// MaxSupersteps bounds execution. 0 means 2^40.
@@ -72,12 +70,6 @@ func New(opts Options) (*Solver, error) {
 	}
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.EpsScale == 0 {
-		opts.EpsScale = 4
-	}
-	if opts.EpsScale <= 1 {
-		return nil, fmt.Errorf("ipuauction: EpsScale = %g, want > 1", opts.EpsScale)
 	}
 	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) || opts.Epsilon < 0 {
 		return nil, fmt.Errorf("ipuauction: Epsilon = %g, want finite ≥ 0", opts.Epsilon)

@@ -134,9 +134,9 @@ func TestDeterministic(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	o := testOptions()
-	o.EpsScale = 1
+	o.Epsilon = -1
 	if _, err := New(o); err == nil {
-		t.Fatal("EpsScale = 1 accepted")
+		t.Fatal("Epsilon = -1 accepted")
 	}
 }
 

@@ -87,8 +87,11 @@ type Engine struct {
 
 	// Guard state (see guard.go).
 	guard        GuardPolicy
+	chips        int // chips of the device; > 1 keeps per-chip checksums
 	probes       []InvariantProbe
-	sums         []uint64 // per-tensor incremental checksums
+	sums         []uint64 // incremental checksums, one per (tensor, chip)
+	chipSums     []uint64 // verify scratch, one per chip
+	strikes      []int    // guard trips attributed to each chip this run
 	pendingSince int64    // earliest undetected silent injection (-1: none)
 	silentSeen   int      // silent injections applied this run
 }
@@ -106,7 +109,10 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 		parallel:   runtime.NumCPU(),
 		maxSteps:   1 << 40,
 		compiledCS: map[int]bool{},
+		chips:      g.cfg.IPUs,
 	}
+	e.chipSums = make([]uint64, e.chips)
+	e.strikes = make([]int, e.chips)
 	e.scratch.tileTime = map[int]int64{}
 	for _, o := range opts {
 		o(e)

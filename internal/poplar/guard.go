@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"hunipu/internal/faultinject"
 )
@@ -45,14 +46,12 @@ const guardParanoidEvery = 8
 // can reach back through.
 const guardRingSize = 4
 
-// GuardParanoidEvery and GuardRingEpochs export the guard cadence and
-// rollback-ring depth so sibling guard layers (the sharded fabric in
-// internal/shard) verify on the same schedule and reach back through
-// the same number of epochs as the single-device engine.
-const (
-	GuardParanoidEvery = guardParanoidEvery
-	GuardRingEpochs    = guardRingSize
-)
+// guardMaxStrikes is how many guard trips one chip of a multi-chip
+// engine may cause before the engine stops rolling back and surfaces
+// the corruption, so the caller can drop the chip (see core's loss
+// loop): a chip that corrupts state again after a clean rollback is
+// treated as faulty, not unlucky.
+const guardMaxStrikes = 2
 
 // guardNames is indexed by GuardPolicy and must agree with
 // faultinject.GuardPolicyNames, the schedule-grammar tokens.
@@ -124,13 +123,6 @@ var errBudget = errors.New("superstep budget exhausted")
 // maintenance subtracts the old contribution and adds the new one over
 // each superstep's declared write regions; a silent flip leaves a
 // nonzero residual that no later legitimate overwrite can cancel.
-// GuardContribution exposes sumContribution so sibling guard layers
-// (the sharded fabric's per-shard row-block checksums) accumulate
-// identical laundering-proof sums: a fabric frame's checksum and a
-// tensor's checksum disagree about a flipped bit for exactly the same
-// algebraic reason.
-func GuardContribution(v float64, idx int) uint64 { return sumContribution(v, idx) }
-
 func sumContribution(v float64, idx int) uint64 {
 	h := math.Float64bits(v) ^ (uint64(idx)+1)*0x9e3779b97f4a7c15
 	h += 0x9e3779b97f4a7c15
@@ -149,18 +141,56 @@ func tensorSum(t *Tensor) uint64 {
 	return s
 }
 
+// freshSums recomputes t's checksums from scratch into out: the whole
+// tensor's on a single-chip engine, one partial sum per chip on a
+// multi-chip engine, so a mismatch names the chip holding the bad
+// element.
+func (e *Engine) freshSums(t *Tensor, out []uint64) {
+	if e.chips == 1 {
+		out[0] = tensorSum(t)
+		return
+	}
+	clear(out)
+	cfg := e.graph.cfg
+	for _, r := range t.mapping {
+		var s uint64
+		for i := r.Start; i < r.End; i++ {
+			s += sumContribution(t.data[i], i)
+		}
+		out[cfg.IPUOf(r.Tile)] += s
+	}
+}
+
+// foldChipSums adds r's contributions to the per-chip sums of its
+// tensor, or subtracts them when neg is set (multi-chip engines only).
+func (e *Engine) foldChipSums(r Ref, neg bool) {
+	t, cfg := r.T, e.graph.cfg
+	m := t.mapping
+	i := sort.Search(len(m), func(k int) bool { return m[k].End > r.Start })
+	for ; i < len(m) && m[i].Start < r.End; i++ {
+		var s uint64
+		for j := max(m[i].Start, r.Start); j < min(m[i].End, r.End); j++ {
+			s += sumContribution(t.data[j], j)
+		}
+		if neg {
+			s = -s
+		}
+		e.sums[t.id*e.chips+cfg.IPUOf(m[i].Tile)] += s
+	}
+}
+
 // initGuard baselines all tensor checksums and resets probe state at
 // the start of a run (and after rollback re-baselining).
 func (e *Engine) initGuard() {
 	if e.guard == GuardOff {
 		return
 	}
-	if len(e.sums) != len(e.graph.tensors) {
-		e.sums = make([]uint64, len(e.graph.tensors))
+	if len(e.sums) != len(e.graph.tensors)*e.chips {
+		e.sums = make([]uint64, len(e.graph.tensors)*e.chips)
 	}
 	var n int64
 	for i, t := range e.graph.tensors {
-		e.sums[i] = tensorSum(t)
+		e.freshSums(t, e.sums[i*e.chips:(i+1)*e.chips])
 		n += int64(len(t.data))
 	}
 	e.dev.ChargeGuard(n)
@@ -183,12 +213,16 @@ func (e *Engine) guardPreStep(writes []Ref) {
 	}
 	var n int64
 	for _, w := range writes {
+		n += int64(w.End - w.Start)
+		if e.chips > 1 {
+			e.foldChipSums(w, true)
+			continue
+		}
 		t := w.T
 		d := t.data
 		for i := w.Start; i < w.End; i++ {
 			e.sums[t.id] -= sumContribution(d[i], i)
 		}
-		n += int64(w.End - w.Start)
 	}
 	e.dev.ChargeGuard(n)
 }
@@ -200,12 +234,16 @@ func (e *Engine) guardPostStep(writes []Ref) {
 	}
 	var n int64
 	for _, w := range writes {
+		n += int64(w.End - w.Start)
+		if e.chips > 1 {
+			e.foldChipSums(w, false)
+			continue
+		}
 		t := w.T
 		d := t.data
 		for i := w.Start; i < w.End; i++ {
 			e.sums[t.id] += sumContribution(d[i], i)
 		}
-		n += int64(w.End - w.Start)
 	}
 	e.dev.ChargeGuard(n)
 }
@@ -236,12 +274,21 @@ func (e *Engine) guardVerify() error {
 		return nil
 	}
 	var n int64
+	fresh := e.chipSums
 	for i, t := range e.graph.tensors {
 		n += int64(len(t.data))
-		if tensorSum(t) != e.sums[i] {
+		e.freshSums(t, fresh)
+		for chip, sum := range fresh {
+			if sum == e.sums[i*e.chips+chip] {
+				continue
+			}
 			e.dev.ChargeGuard(n)
-			return e.guardTrip("checksum:"+t.Name,
+			ce := e.guardTrip("checksum:"+t.Name,
 				fmt.Errorf("poplar: tensor %q checksum mismatch at step %d", t.Name, e.steps))
+			if e.chips > 1 {
+				ce.Device = chip
+			}
+			return ce
 		}
 	}
 	e.dev.ChargeGuard(n)
@@ -262,7 +309,7 @@ func (e *Engine) guardVerify() error {
 // guardTrip records a detection and builds the typed corruption error,
 // charging detection latency against the earliest undetected silent
 // injection.
-func (e *Engine) guardTrip(guard string, err error) error {
+func (e *Engine) guardTrip(guard string, err error) *faultinject.CorruptionError {
 	e.report.GuardTrips++
 	ce := e.NewCorruptionError(guard, err)
 	if ce.Latency > e.report.DetectionLatency {
@@ -318,21 +365,23 @@ func flipBit(r Ref, fe *faultinject.FaultError) {
 
 // applySilentFault mutates live state for a silent fault class and
 // reports whether the superstep's body must be skipped (stale read:
-// the writes are silently dropped). Tile bit flips land on the step's
-// read set before compute (corrupted SRAM feeds the vertices); when the
-// step reads nothing, they land on the write set after it, like an
-// exchange flip. Exchange flips are applied by the caller *after* the
-// post-step checksum update, modeling corruption past the sender-side
-// integrity computation.
+// the writes are silently dropped). Tile bit flips (bitflip, and
+// shardflip, its multi-chip name) land on the step's read set before
+// compute (corrupted SRAM feeds the vertices); when the step reads
+// nothing, they land on the write set after it, like an exchange flip.
+// Exchange flips (exbitflip, and linkflip, its multi-chip name) are
+// applied by the caller *after* the post-step checksum update, modeling
+// corruption past the sender-side integrity computation. On a
+// multi-chip engine every flip lands on state held on the chip the
+// fault fired on.
 func (e *Engine) applySilentFault(fe *faultinject.FaultError, reads, writes []Ref) (skipBody bool) {
 	e.noteSilent(fe)
 	switch fe.Class {
 	case faultinject.SilentStaleRead:
 		return true
-	case faultinject.SilentTileBitflip:
+	case faultinject.SilentTileBitflip, faultinject.SilentShardBitflip:
 		for _, r := range reads {
-			if r.Len() > 0 {
-				flipBit(r, fe)
+			if e.flipOnChip(r, fe) {
 				return false
 			}
 		}
@@ -346,15 +395,34 @@ func (e *Engine) applySilentFault(fe *faultinject.FaultError, reads, writes []Re
 // set after checksum maintenance has run: the flip is invisible to the
 // incremental update and only a full verify can see it.
 func (e *Engine) applyLateSilentFault(fe *faultinject.FaultError, writes []Ref) {
-	if fe.Class != faultinject.SilentExchangeBitflip {
+	if fe.Class != faultinject.SilentExchangeBitflip && fe.Class != faultinject.SilentLinkBitflip {
 		return
 	}
 	for _, w := range writes {
-		if w.Len() > 0 {
-			flipBit(w, fe)
+		if e.flipOnChip(w, fe) {
 			return
 		}
 	}
+}
+
+// flipOnChip flips one bit of r — restricted, on a multi-chip engine,
+// to its first region held on the chip fe fired on — and reports
+// whether anything was there to flip.
+func (e *Engine) flipOnChip(r Ref, fe *faultinject.FaultError) bool {
+	if e.chips > 1 {
+		cfg, on := e.graph.cfg, Ref{}
+		r.T.regionsIn(r.Start, r.End, func(s, end, tile int) {
+			if on.T == nil && cfg.IPUOf(tile) == fe.Point.Device {
+				on = Ref{T: r.T, Start: s, End: end}
+			}
+		})
+		r = on
+	}
+	if r.Len() == 0 {
+		return false
+	}
+	flipBit(r, fe)
+	return true
 }
 
 // rebaselineChecksums recomputes all checksums from (just-restored)
@@ -365,7 +433,7 @@ func (e *Engine) rebaselineChecksums() {
 	}
 	var n int64
 	for i, t := range e.graph.tensors {
-		e.sums[i] = tensorSum(t)
+		e.freshSums(t, e.sums[i*e.chips:(i+1)*e.chips])
 		n += int64(len(t.data))
 	}
 	e.dev.ChargeGuard(n)

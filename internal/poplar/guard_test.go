@@ -333,3 +333,61 @@ func TestGuardCyclesCharged(t *testing.T) {
 		t.Fatalf("guard cycle ordering violated: off=%d checksums=%d invariants=%d paranoid=%d", off, sums, inv, par)
 	}
 }
+
+// TestGuardAttributesChip pins the multi-chip guard: checksums are kept
+// per chip, so a flip landing on state held on chip 1 trips with
+// CorruptionError.Device = 1, and a chip caught again after a clean
+// rollback is surfaced instead of rolled back a second time. A
+// single-chip engine keeps one checksum per tensor and attributes
+// nothing.
+func TestGuardAttributesChip(t *testing.T) {
+	run := func(chips int, spec string, retries int) (RunReport, error) {
+		t.Helper()
+		cfg := smallCfg()
+		cfg.IPUs = chips
+		g := NewGraph(cfg)
+		v := g.AddVariable("v", Float, 2)
+		far := cfg.Tiles() - 1
+		g.SetTileMapping(v, 0, 0, 1)
+		g.SetTileMapping(v, far, 1, 2)
+		cs := g.AddComputeSet("inc")
+		for i, tile := range []int{0, far} {
+			r := v.Slice(i, i+1)
+			cs.AddVertex(tile, func(w *Worker) {
+				r.Data()[0]++
+				w.ChargeVec(1)
+			}).Reads(r).Writes(r)
+		}
+		dev := newDev(t, cfg)
+		sched, err := faultinject.ParseSchedule(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetInjector(sched)
+		eng, err := NewEngine(g, Repeat(16, Execute(cs)), dev,
+			WithGuard(GuardChecksums), WithCheckpointEvery(4), WithRetry(retries, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = eng.RunContext(context.Background())
+		if got := len(eng.sums); got != chips*len(g.tensors) {
+			t.Fatalf("%d chips: %d checksums for %d tensors", chips, got, len(g.tensors))
+		}
+		return eng.Report(), err
+	}
+	for _, spec := range []string{"shardflip at=2 device=1", "linkflip at=2 device=1"} {
+		_, err := run(2, spec, 0)
+		if ce, ok := faultinject.AsCorruption(err); !ok || ce.Device != 1 {
+			t.Fatalf("%s: err = %v, want a trip attributed to chip 1", spec, err)
+		}
+	}
+	rep, err := run(2, "shardflip every=3 device=1", 8)
+	if ce, ok := faultinject.AsCorruption(err); !ok || ce.Device != 1 || rep.GuardTrips != guardMaxStrikes {
+		t.Fatalf("err = %v after %d trips, want chip 1 surfaced at its strike %d", err, rep.GuardTrips, guardMaxStrikes)
+	}
+	if _, err := run(1, "bitflip at=2", 0); err == nil {
+		t.Fatal("single-chip flip not caught")
+	} else if ce, _ := faultinject.AsCorruption(err); ce == nil || ce.Device != -1 {
+		t.Fatalf("single-chip trip = %v, want unattributed", err)
+	}
+}

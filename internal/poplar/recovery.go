@@ -227,6 +227,18 @@ func (e *Engine) applyFaultEffect(fe *faultinject.FaultError, writes []Ref) {
 	}
 }
 
+// Checkpoint is a snapshot a solve can carry from one engine to
+// another compiled from the same program shape: tensor values in graph
+// order, the count of executed leaf steps, and the control-flow
+// decision log. None of it depends on tile placement, so a multi-chip
+// solve that loses a chip resumes on the re-laid-out program exactly
+// where it stopped.
+type Checkpoint struct {
+	data      [][]float64
+	steps     int64
+	decisions []bool
+}
+
 // RunContext executes the program once with cancellation, fault
 // injection, and — when retries are configured or the device has an
 // injector — superstep checkpointing and transient-fault recovery.
@@ -235,6 +247,21 @@ func (e *Engine) applyFaultEffect(fe *faultinject.FaultError, writes []Ref) {
 // recovery could not repair surface as *faultinject.CorruptionError;
 // cancellation surfaces as ctx.Err().
 func (e *Engine) RunContext(ctx context.Context) error {
+	_, err := e.run(ctx, nil, false)
+	return err
+}
+
+// Resume is RunContext starting from cp (nil: from the current tensor
+// state). When the run fails it also hands back the run's newest
+// checkpoint — taken, like every ring epoch, right after a passing
+// guard verify — so the caller can move the solve onto another engine
+// compiled from the same program shape. A cp whose tensors do not
+// match this graph is rejected.
+func (e *Engine) Resume(ctx context.Context, cp *Checkpoint) (*Checkpoint, error) {
+	return e.run(ctx, cp, true)
+}
+
+func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out *Checkpoint, err error) {
 	e.ctx = ctx
 	e.decisions = e.decisions[:0]
 	e.steps = 0
@@ -243,16 +270,32 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	e.cpSpare = nil
 	e.pendingSince = -1
 	e.silentSeen = 0
-	defer func() { e.cps, e.cpSpare = nil, nil }() // snapshots are per-run; don't pin them
+	clear(e.strikes)
+	defer func() {
+		if err != nil && handBack && len(e.cps) > 0 {
+			cp := e.cps[len(e.cps)-1]
+			out = &Checkpoint{data: cp.data, steps: cp.steps, decisions: append([]bool(nil), e.decisions[:cp.decisions]...)}
+		}
+		e.cps, e.cpSpare = nil, nil // snapshots are per-run; don't pin them
+	}()
 
 	e.cpLive = e.cpEvery
-	if e.cpLive == 0 && (e.retries > 0 || e.dev.Injector() != nil) {
+	if e.cpLive == 0 && (from != nil || e.retries > 0 || e.dev.Injector() != nil) {
 		e.cpLive = DefaultCheckpointEvery
+	}
+	if from != nil {
+		if err := e.load(from); err != nil {
+			return nil, err
+		}
 	}
 	e.initGuard()
 	e.resetProbes()
 	if e.cpLive > 0 {
-		e.saveCheckpoint() // checkpoint 0: the initial state
+		e.saveCheckpoint() // checkpoint 0: the initial (or moved-in) state
+		if from != nil {
+			// Replay the program tree up to the moved-in position.
+			e.restoreCheckpoint(e.cps[0])
+		}
 	}
 
 	backoff := e.backoff
@@ -277,7 +320,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			err = e.guardVerify()
 		}
 		if err == nil {
-			return nil
+			return nil, nil
 		}
 		if errors.Is(err, errBudget) && e.guard != GuardOff && e.silentSeen > 0 {
 			// A wedged loop with silent injections pending is most likely a
@@ -285,34 +328,64 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			// across restores, so re-execution cannot fit in the exhausted
 			// budget: surface the typed corruption verdict directly.
 			e.report.GuardTrips++
-			return e.NewCorruptionError("watchdog", err)
+			return nil, e.NewCorruptionError("watchdog", err)
 		}
 		if ce, ok := faultinject.AsCorruption(err); ok {
-			if attempt >= e.retries || len(e.cps) == 0 {
-				return err
+			if e.struckOut(ce) || attempt >= e.retries || len(e.cps) == 0 {
+				return nil, err
 			}
 			e.report.Retries++
 			if werr := wait(); werr != nil {
-				return werr
+				return nil, werr
 			}
 			// Certified rollback: discard poisoned epochs, resume from the
 			// newest one that still validates.
 			if rbErr := e.rollbackPastPoison(ce); rbErr != nil {
-				return rbErr
+				return nil, rbErr
 			}
 			continue
 		}
 		if !faultinject.IsTransient(err) || attempt >= e.retries || len(e.cps) == 0 {
-			return err
+			return nil, err
 		}
 		e.report.Retries++
 		if werr := wait(); werr != nil {
-			return werr
+			return nil, werr
 		}
 		e.restoreCheckpoint(e.cps[len(e.cps)-1])
 		e.rebaselineChecksums()
 		e.resetProbes()
 	}
+}
+
+// load installs a moved-in checkpoint's tensor values and program
+// position.
+func (e *Engine) load(cp *Checkpoint) error {
+	if len(cp.data) != len(e.graph.tensors) {
+		return fmt.Errorf("poplar: checkpoint holds %d tensors, graph has %d", len(cp.data), len(e.graph.tensors))
+	}
+	for i, t := range e.graph.tensors {
+		if len(cp.data[i]) != len(t.data) {
+			return fmt.Errorf("poplar: checkpoint tensor %d has %d elements, %q has %d", i, len(cp.data[i]), t.Name, len(t.data))
+		}
+	}
+	for i, t := range e.graph.tensors {
+		copy(t.data, cp.data[i])
+	}
+	e.decisions = append(e.decisions[:0], cp.decisions...)
+	e.steps = cp.steps
+	return nil
+}
+
+// struckOut counts a guard trip against the chip it names and reports
+// whether that chip has reached guardMaxStrikes. Only multi-chip
+// engines attribute trips, so single-chip recovery never strikes out.
+func (e *Engine) struckOut(ce *faultinject.CorruptionError) bool {
+	if ce.Device < 0 || ce.Device >= len(e.strikes) {
+		return false
+	}
+	e.strikes[ce.Device]++
+	return e.strikes[ce.Device] >= guardMaxStrikes
 }
 
 // HostWrite transfers host values into a tensor through the device's

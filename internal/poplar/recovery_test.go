@@ -343,3 +343,52 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeMovesCheckpointAcrossEngines pins the hand-over a
+// multi-chip solve makes after losing a chip: a run that fails fatally
+// hands back its newest checkpoint, a second engine compiled from the
+// same program shape resumes it to the exact fault-free result, and a
+// checkpoint of a differently shaped graph is rejected.
+func TestResumeMovesCheckpointAcrossEngines(t *testing.T) {
+	run := func(spec string, from *Checkpoint, extra bool) (float64, *Checkpoint, error) {
+		t.Helper()
+		g, counter, acc, pred, prog := newCountdown()
+		if extra {
+			g.MapAllTo(g.AddVariable("extra", Float, 1), 0)
+		}
+		dev := newDev(t, smallCfg())
+		if spec != "" {
+			sched, err := faultinject.ParseSchedule(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev.SetInjector(sched)
+		}
+		eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter.SetScalar(20)
+		acc.SetScalar(0)
+		pred.SetScalar(1)
+		cp, err := eng.Resume(context.Background(), from)
+		return acc.ScalarValue(), cp, err
+	}
+	_, cp, err := run("reset at=10", nil, false)
+	if fe, ok := faultinject.AsFault(err); !ok || fe.Transient() {
+		t.Fatalf("err = %v, want the fatal reset", err)
+	}
+	if cp == nil {
+		t.Fatal("failed run handed back no checkpoint")
+	}
+	if _, _, err := run("", cp, true); err == nil {
+		t.Fatal("checkpoint of a differently shaped graph accepted")
+	}
+	got, left, err := run("", cp, false)
+	if err != nil || left != nil {
+		t.Fatalf("resumed run: err=%v checkpoint=%v", err, left)
+	}
+	if got != 210 {
+		t.Fatalf("acc = %g, want the exact fault-free 210", got)
+	}
+}

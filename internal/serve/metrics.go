@@ -42,18 +42,15 @@ type Metrics struct {
 	// Fabric telemetry (see Config.Shards and hunipu.WithShards):
 	// ShardSolves counts IPU attempts that ran sharded, DevicesLost
 	// counts chips lost mid-solve across all attempts, Reshards counts
-	// live re-shardings onto survivors, and ShardRollbacks counts
-	// cross-device checkpoint restores for transient fabric faults.
+	// moves onto the survivors, ShardRollbacks counts checkpoint
+	// restores for transient faults and guard trips on sharded
+	// attempts, and Quarantined counts chips dropped because the guard
+	// kept catching them corrupting state.
 	ShardSolves    atomic.Int64
 	DevicesLost    atomic.Int64
 	Reshards       atomic.Int64
 	ShardRollbacks atomic.Int64
-	// Retransmits counts collective frames guarded fabrics moved again
-	// after checksum-detected wire corruption; Quarantined counts chips
-	// the guard layer Byzantine-classified and struck from their
-	// fabrics.
-	Retransmits atomic.Int64
-	Quarantined atomic.Int64
+	Quarantined    atomic.Int64
 	// Degradation-ladder telemetry (see Config.BrownoutTiers and
 	// hunipu.WithQuality): Brownouts counts requests served at a looser
 	// quality tier than they asked for, BoundedSolves counts responses
@@ -134,7 +131,6 @@ func (m *Metrics) snapshot() map[string]any {
 			"devices_lost": m.DevicesLost.Load(),
 			"reshards":     m.Reshards.Load(),
 			"rollbacks":    m.ShardRollbacks.Load(),
-			"retransmits":  m.Retransmits.Load(),
 			"quarantined":  m.Quarantined.Load(),
 		},
 		"bounded": map[string]any{

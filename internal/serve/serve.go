@@ -75,8 +75,9 @@ type Config struct {
 	Guard    hunipu.GuardPolicy
 	GuardSet bool
 	// Shards, when > 0, runs every IPU attempt on a fabric of that many
-	// simulated chips (hunipu.WithShards): row-block sharding, modeled
-	// IPU-Link charging, and live re-sharding when a chip is lost.
+	// simulated chips (hunipu.WithShards): HunIPU over the multi-chip
+	// tile space, modeled IPU-Link charging, and a move onto the
+	// survivors when a chip is lost.
 	// MinShardDevices is the smallest fabric a solve may continue on
 	// after losses (hunipu.WithMinShardFabric; 0 means 1). Fabric events
 	// surface in the shard_* expvar counters.
@@ -554,8 +555,7 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 				s.metrics.ShardSolves.Add(1)
 				s.metrics.DevicesLost.Add(int64(len(a.LostDevices)))
 				s.metrics.Reshards.Add(int64(a.Reshards))
-				s.metrics.ShardRollbacks.Add(int64(a.ShardDetail.Rollbacks))
-				s.metrics.Retransmits.Add(int64(a.Retransmits))
+				s.metrics.ShardRollbacks.Add(int64(a.Retries))
 				s.metrics.Quarantined.Add(int64(len(a.QuarantinedDevices)))
 			}
 			// Guard telemetry: recovered detections ride on successful
@@ -565,7 +565,7 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 			if ce, ok := faultinject.AsCorruption(a.Err); ok {
 				s.metrics.GuardTrips.Add(1)
 				s.metrics.RollbackEpochs.Add(int64(ce.PoisonedEpochs))
-				if ce.Guard == "attestation" || ce.Guard == "shard:attestation" {
+				if ce.Guard == "attestation" {
 					s.metrics.AttestationFailures.Add(1)
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"hunipu/internal/fastha"
 	"hunipu/internal/faultinject"
 	"hunipu/internal/lsap"
-	"hunipu/internal/shard"
 )
 
 // ErrInvalidOption is wrapped by every option-validation failure
@@ -124,26 +123,20 @@ type Attempt struct {
 	// GPUDetail is the FastHA profile of a successful GPU attempt.
 	GPUDetail *fastha.Result
 	// LostDevices lists fabric indices of chips lost during a sharded
-	// IPU attempt (WithShards), in loss order; Reshards counts the live
-	// re-shardings that absorbed those losses. Both are populated on
-	// failed attempts too, so the Report shows what the fabric survived
-	// before the fallback ladder took over.
-	LostDevices []int
-	Reshards    int
-	// Retransmits counts collective frames a guarded sharded attempt
-	// moved again after a checksum-detected corruption on the wire —
-	// each retry re-priced at the modeled IPU-Link rate.
-	// QuarantinedDevices lists the fabric indices the guard layer
-	// Byzantine-classified and struck from the fabric (a subset of
-	// LostDevices). Like LostDevices, both are populated on failed
-	// attempts too.
-	Retransmits        int
+	// IPU attempt (WithShards), in loss order; Reshards counts the moves
+	// onto the survivors that absorbed those losses.
+	// QuarantinedDevices lists the chips of LostDevices dropped because
+	// the guard kept catching them corrupting state. All three are
+	// populated on failed attempts too, so the Report shows what the
+	// fabric survived before the fallback ladder took over.
+	LostDevices        []int
+	Reshards           int
 	QuarantinedDevices []int
-	// ShardDetail is the full fabric report of a sharded IPU attempt
-	// (per-chip stats, re-shard epochs, rollbacks); nil for unsharded
+	// ShardDetail is the fabric report of a sharded IPU attempt (chips
+	// at start and end, losses, quarantines); nil for unsharded
 	// attempts. Unlike IPUDetail it is populated even when the attempt
 	// failed.
-	ShardDetail *shard.Result
+	ShardDetail *core.Fabric
 }
 
 // Report describes how a solve reached its answer.
@@ -207,11 +200,11 @@ func (c *config) validate() error {
 	if !c.guard.valid() {
 		return fmt.Errorf("hunipu: WithGuard: unknown policy %v: %w", c.guard, ErrInvalidOption)
 	}
-	if c.shards < 0 {
+	if c.sharded && c.shards < 1 {
 		return fmt.Errorf("hunipu: WithShards: k = %d, want ≥ 1: %w", c.shards, ErrInvalidOption)
 	}
 	if c.minFabric != 0 {
-		if c.shards == 0 {
+		if !c.sharded {
 			return fmt.Errorf("hunipu: WithMinShardFabric requires WithShards: %w", ErrInvalidOption)
 		}
 		if c.minFabric < 1 || c.minFabric > c.shards {
@@ -221,7 +214,7 @@ func (c *config) validate() error {
 	if !c.quality.valid() {
 		return fmt.Errorf("hunipu: WithQuality: ε = %g, want finite ≥ 0: %w", c.quality.Epsilon(), ErrInvalidOption)
 	}
-	if c.quality.IsBounded() && c.quality.Epsilon() > 0 && c.shards > 0 {
+	if c.quality.IsBounded() && c.quality.Epsilon() > 0 && c.sharded {
 		return fmt.Errorf("hunipu: bounded quality does not compose with WithShards: %w", ErrInvalidOption)
 	}
 	seen := map[Device]bool{c.device: true}
@@ -384,9 +377,6 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 	att := Attempt{Device: d}
 	switch d {
 	case DeviceIPU:
-		if c.shards > 0 {
-			return c.solveSharded(ctx, m)
-		}
 		o := c.ipuOpts
 		inj := c.injectorFor(d)
 		if inj != nil {
@@ -395,6 +385,9 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 		if c.retries > 0 {
 			o.MaxRetries = c.retries
 			o.RetryBackoff = c.backoff
+		}
+		if c.sharded {
+			o = c.shardOptions(o)
 		}
 		o.Guard = c.resolveGuard(o.Guard, inj)
 		s, err := core.New(o)
@@ -405,17 +398,27 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 		before := firedCount(inj)
 		r, err := s.SolveDetailedContext(ctx, m)
 		att.Faults = firedCount(inj) - before
+		if r != nil {
+			// A sharded solve reports its recovery and fabric work even
+			// when it fails.
+			att.Retries = r.Recovery.Retries
+			att.CheckpointsSaved = r.Recovery.CheckpointsSaved
+			att.CheckpointsRestored = r.Recovery.CheckpointsRestored
+			att.GuardTrips = r.Recovery.GuardTrips
+			att.RollbackEpochs = r.Recovery.RollbackEpochs
+			att.DetectionLatency = r.Recovery.DetectionLatency
+			att.GuardCycles = r.Stats.GuardCycles
+			if f := r.Fabric; f != nil {
+				att.ShardDetail = f
+				att.LostDevices = f.Lost
+				att.Reshards = f.Reshards
+				att.QuarantinedDevices = f.Quarantined
+			}
+		}
 		if err != nil {
 			att.Err = err
 			return nil, 0, att
 		}
-		att.Retries = r.Recovery.Retries
-		att.CheckpointsSaved = r.Recovery.CheckpointsSaved
-		att.CheckpointsRestored = r.Recovery.CheckpointsRestored
-		att.GuardTrips = r.Recovery.GuardTrips
-		att.RollbackEpochs = r.Recovery.RollbackEpochs
-		att.DetectionLatency = r.Recovery.DetectionLatency
-		att.GuardCycles = r.Stats.GuardCycles
 		att.IPUDetail = r
 		return r.Solution, r.Modeled, att
 	case DeviceGPU:

@@ -1,106 +1,73 @@
 package hunipu
 
 import (
-	"context"
-	"time"
-
-	"hunipu/internal/lsap"
+	"hunipu/internal/core"
+	"hunipu/internal/ipu"
 	"hunipu/internal/poplar"
-	"hunipu/internal/shard"
 )
 
+// defaultShardRetries is the checkpoint-rollback budget of a sharded
+// attempt when neither WithRecovery nor WithIPUOptions sets one: a
+// fabric has k chips' worth of fault surface, so its transient faults
+// and first guard trips are absorbed by default.
+const defaultShardRetries = 16
+
 // WithShards runs the IPU attempt on a fabric of k simulated chips
-// instead of a single device: the cost matrix is row-block sharded
-// across the fabric, cross-chip traffic is charged against the modeled
-// IPU-Link bandwidth, and losing a chip mid-solve is a recoverable
-// event — the fabric re-shards over the survivors and resumes from the
-// last globally consistent checkpoint (see package internal/shard and
-// DESIGN.md §5f–5g).
+// instead of a single device: HunIPU's six-step program is compiled
+// over the k-chip tile space, row groups are spread evenly over the
+// chips, and every byte that crosses chips is charged against the
+// modeled IPU-Link bandwidth. Losing a chip mid-solve is a recoverable
+// event — the solve moves to the program compiled for the survivors
+// and resumes from its newest checkpoint (see DESIGN.md, "Multi-chip
+// execution").
 //
 //	hunipu.Solve(costs, hunipu.WithShards(4),
 //		hunipu.WithFaultSchedule("deviceloss at=12 device=2"))
 //
-// k must be ≥ 1; WithShards(1) exercises the sharded execution path on
-// a single chip. The sharded path covers the IPU attempt only — GPU and
-// CPU fallbacks are unaffected.
+// k must be ≥ 1; WithShards(1) runs the multi-chip path on one chip.
+// The sharded path covers the IPU attempt only — GPU and CPU fallbacks
+// are unaffected.
 //
-// WithGuard composes with WithShards: the policy arms the fabric guard
-// layer — checksummed collective frames with bounded retransmit,
-// per-shard block probes against incremental checksums (and, from
-// GuardInvariants up, the supervisor's held duals), quarantine-based
-// re-sharding of Byzantine chips, and end-of-solve attestation.
-// Sharded attempts default to GuardChecksums rather than off: a fabric
-// has K chips' worth of silent-corruption surface plus the IPU-Link
-// frames between them, so the unguarded mode is an explicit opt-out
-// (WithGuard(GuardOff), or guard=off in the schedule spec), not the
-// default. A guarded sharded solve either returns the certified
-// optimum or fails with a typed error — never a silently wrong answer.
+// WithGuard composes with WithShards, and sharded attempts default to
+// GuardChecksums rather than off: checksums are kept per chip, so a
+// guard trip names the chip holding the corrupted state, and a chip
+// caught again after a clean rollback is quarantined — dropped like a
+// lost chip. The unguarded mode is an explicit opt-out
+// (WithGuard(GuardOff), or guard=off in the schedule spec). A guarded
+// sharded solve either returns the certified optimum or fails with a
+// typed error — never a silently wrong answer.
 func WithShards(k int) Option {
-	return func(c *config) { c.shards = k }
+	return func(c *config) {
+		c.shards = k
+		c.sharded = true
+	}
 }
 
 // WithMinShardFabric sets the smallest fabric a sharded solve may
 // continue on after chip losses (default 1, i.e. the solve survives
 // down to a single chip). Once survivors drop below min the IPU attempt
-// fails with a typed *shard.FabricError and the fallback chain, if any,
+// fails with a typed *core.FabricError and the fallback chain, if any,
 // takes over. Requires WithShards; min must be in [1, k].
 func WithMinShardFabric(min int) Option {
 	return func(c *config) { c.minFabric = min }
 }
 
-// solveSharded runs the IPU attempt on the sharded fabric solver.
-// Mirrors the single-device branch of solveOn: options are translated,
-// fault counters are read around the solve, and the Attempt records the
-// fabric's work — including on failure, since SolveShards reports lost
-// devices and re-shard epochs either way.
-func (c *config) solveSharded(ctx context.Context, m *lsap.Matrix) (*lsap.Solution, time.Duration, Attempt) {
-	att := Attempt{Device: DeviceIPU}
-	inj := c.injectorFor(DeviceIPU)
-	// Sharded attempts default to GuardChecksums: WithGuard or a
-	// schedule's guard= clause still win (resolveGuard precedence), but
-	// the configured fallback is never silently off on a fabric.
-	base := c.ipuOpts.Guard
-	if base == poplar.GuardOff {
-		base = poplar.GuardChecksums
+// shardOptions turns the IPU attempt's options into a c.shards-chip
+// solve that survives chip losses down to the WithMinShardFabric floor.
+func (c *config) shardOptions(o core.Options) core.Options {
+	if o.Config.Tiles() == 0 {
+		o.Config = ipu.MK2()
 	}
-	so := shard.Options{
-		Config:     c.ipuOpts.Config,
-		Devices:    c.shards,
-		MinDevices: c.minFabric,
-		Fault:      inj,
-		Guard:      c.resolveGuard(base, inj),
+	o.Config.IPUs = c.shards
+	o.MinIPUs = max(c.minFabric, 1)
+	if o.MaxRetries == 0 {
+		o.MaxRetries = defaultShardRetries
 	}
-	if c.retries > 0 {
-		so.MaxRetries = c.retries
+	// WithGuard or a schedule's guard= clause still win (resolveGuard
+	// precedence), but the configured fallback is never silently off on
+	// a fabric.
+	if o.Guard == poplar.GuardOff {
+		o.Guard = poplar.GuardChecksums
 	}
-	s, err := shard.New(so)
-	if err != nil {
-		att.Err = err
-		return nil, 0, att
-	}
-	before := firedCount(inj)
-	r, err := s.SolveShards(ctx, m)
-	att.Faults = firedCount(inj) - before
-	if r != nil {
-		att.ShardDetail = r
-		att.Retries = r.Rollbacks
-		att.CheckpointsSaved = r.Checkpoints
-		att.CheckpointsRestored = r.Rollbacks + len(r.Reshards)
-		att.LostDevices = append([]int(nil), r.LostDevices...)
-		att.Reshards = len(r.Reshards)
-		att.GuardTrips = r.GuardTrips
-		att.RollbackEpochs = r.RollbackEpochs
-		att.DetectionLatency = r.DetectionLatency
-		att.Retransmits = r.Retransmits
-		att.QuarantinedDevices = append([]int(nil), r.Quarantined...)
-		for _, s := range r.PerDevice {
-			att.GuardCycles += s.GuardCycles
-		}
-	}
-	if err != nil {
-		att.Err = err
-		return nil, 0, att
-	}
-	modeled := time.Duration(float64(r.ModeledCycles) / s.Config().ClockHz * 1e9)
-	return r.Solution, modeled, att
+	return o
 }
