@@ -10,13 +10,6 @@
 //	experiments -table2 -fig5       # selected experiments
 //	experiments -all -full          # the published grid
 //	experiments -all -csv -outdir results/
-//	experiments -trajectory         # record BENCH_0010.json perf trajectory
-//
-// The -trajectory mode runs the benchmark-trajectory suite (modeled
-// IPU/GPU cycles, real CPU ns, allocs per solve, cold-vs-warm solve
-// latency over the compiled-program cache), writes the result to
-// <outdir>/BENCH_0010.json, and exits non-zero if any warm-cache solve
-// still paid graph construction — the invariant CI enforces.
 package main
 
 import (
@@ -48,8 +41,6 @@ func run() error {
 		zoo     = flag.Bool("zoo", false, "all-solver comparison on one workload")
 		gens    = flag.Bool("generations", false, "HunIPU across IPU generations (Mk1/Mk2/Bow)")
 		all     = flag.Bool("all", false, "run every experiment")
-		traj    = flag.Bool("trajectory", false, "record the perf trajectory to "+bench.TrajectoryID+".json")
-		warm    = flag.Int("warm-runs", 0, "warm-cache solves per trajectory case (0 = default)")
 		full    = flag.Bool("full", false, "use the paper's full-size grid (hours)")
 		sizes   = flag.String("sizes", "", "comma-separated matrix sizes (overrides defaults)")
 		seed    = flag.Int64("seed", 1, "workload seed")
@@ -63,7 +54,7 @@ func run() error {
 	if *all {
 		*table1, *table2, *fig5, *table3, *uniform, *ablate, *zoo, *gens = true, true, true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig5 && !*table3 && !*uniform && !*ablate && !*zoo && !*gens && !*traj {
+	if !*table1 && !*table2 && !*fig5 && !*table3 && !*uniform && !*ablate && !*zoo && !*gens {
 		flag.Usage()
 		return fmt.Errorf("select at least one experiment (or -all)")
 	}
@@ -82,32 +73,6 @@ func run() error {
 		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ", s) }
 	}
 
-	if *traj {
-		tcfg := bench.TrajectoryConfig{
-			Sizes:    cfg.Sizes,
-			Seed:     *seed,
-			WarmRuns: *warm,
-			Progress: cfg.Progress,
-		}
-		tr, err := bench.RunTrajectory(tcfg)
-		if err != nil {
-			return fmt.Errorf("trajectory: %w", err)
-		}
-		out, err := tr.EncodeJSON()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*outdir, bench.TrajectoryID+".json")
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(trajectory written to %s)\n", path)
-		// The invariant CI enforces: warm-cache solves must not pay
-		// graph construction.
-		if err := tr.CheckWarmCache(); err != nil {
-			return err
-		}
-	}
 	h, err := bench.NewHarness(cfg)
 	if err != nil {
 		return err

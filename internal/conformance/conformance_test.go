@@ -103,7 +103,7 @@ func TestRegistryComplete(t *testing.T) {
 		"CPU-JV", "CPU-ParallelJV", "CPU-Munkres", "CPU-Auction",
 		"HunIPU", "HunIPU-nocompress", "HunIPU-2D",
 		"HunIPU-shard2", "HunIPU-shard4",
-		"FastHA", "IPU-Auction", "GPU-Auction", "BruteForce",
+		"FastHA", "IPU-Auction", "GPU-Auction", "DateNagi", "BruteForce",
 	}
 	got := map[string]bool{}
 	for _, e := range Registry() {

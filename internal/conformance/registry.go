@@ -27,6 +27,7 @@ import (
 
 	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
+	"hunipu/internal/datenagi"
 	"hunipu/internal/fastha"
 	"hunipu/internal/gpuauction"
 	"hunipu/internal/ipu"
@@ -167,6 +168,10 @@ func Registry() []Entry {
 		{
 			Name: "GPU-Auction",
 			New:  func() (lsap.Solver, error) { return gpuauction.New(gpuauction.Options{}) },
+		},
+		{
+			Name: "DateNagi",
+			New:  func() (lsap.Solver, error) { return datenagi.New(datenagi.Options{}) },
 		},
 		{
 			Name:              "BruteForce",

@@ -399,7 +399,7 @@ func (b *builder) setScalars(name string, fn func(get func(*poplar.Tensor) float
 // checkInvariants verifies the final device state against the
 // algorithm's invariants (DESIGN.md §5): non-negative slack, stars on
 // zeros, and consistent star tables. It reads device tensors host-side
-// after the run.
+// after the run; the test suite calls it on cached programs.
 func (b *builder) checkInvariants(a []int) error {
 	eps := b.o.Epsilon
 	slack := b.slack.HostRead()

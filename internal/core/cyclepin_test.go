@@ -7,10 +7,10 @@ import (
 )
 
 // TestModeledCyclesPinned is the modeled-cycle determinism oracle: the
-// trajectory's instances, Gaussian(n, 500, 1+31n+500) on the default
-// Mk2, must cost exactly the pinned cycles and supersteps at any host
-// parallelism. Layout or engine changes that are meant to leave the
-// single-chip model alone prove it here.
+// instances Gaussian(n, 500, 1+31n+500) on the default Mk2 must cost
+// exactly the pinned cycles and supersteps at any host parallelism.
+// Layout or engine changes that are meant to leave the single-chip
+// model alone prove it here.
 func TestModeledCyclesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		n          int

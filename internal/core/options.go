@@ -71,12 +71,6 @@ type Options struct {
 	// chrome://tracing or Perfetto).
 	TraceWriter io.Writer
 
-	// CheckInvariants verifies the algorithm's internal invariants
-	// after every solve — the slack matrix stays non-negative, every
-	// star sits on a slack zero, and the row/column star tables agree.
-	// Used by the test suite and as failure-injection infrastructure.
-	CheckInvariants bool
-
 	// Epsilon is the zero tolerance for real-valued cost matrices:
 	// slack entries with |v| ≤ Epsilon count as zeros. Leave 0 for
 	// integer-valued matrices (exact arithmetic, the paper's

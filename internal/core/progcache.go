@@ -49,7 +49,6 @@ type programKey struct {
 	checkpointEvery int64
 	maxSupersteps   int64
 	parallelism     int
-	checkInvariants bool
 
 	// minIPUs and lost are the fabric topology: the layout floor and the
 	// original indices of chips a solve has dropped (bit i = chip i), so
@@ -76,10 +75,10 @@ func (k programKey) Fingerprint() string {
 	if k.minIPUs > 0 {
 		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d inv=%v fault=%s%s%s",
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d fault=%s%s%s",
 		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow, k.rowsPerTile,
 		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
-		k.checkpointEvery, k.maxSupersteps, k.parallelism, k.checkInvariants, fault, fabric, private)
+		k.checkpointEvery, k.maxSupersteps, k.parallelism, fault, fabric, private)
 }
 
 // CompiledProgram is one shape's reusable artefact: the laid-out
@@ -336,7 +335,6 @@ func (s *Solver) keyFor(n int, lost uint64) programKey {
 		checkpointEvery:    o.CheckpointEvery,
 		maxSupersteps:      o.MaxSupersteps,
 		parallelism:        o.Parallelism,
-		checkInvariants:    o.CheckInvariants,
 		minIPUs:            o.MinIPUs,
 		lost:               lost,
 	}

@@ -370,9 +370,10 @@ func TestCacheBuildFailureNotMemoized(t *testing.T) {
 
 var errBuildFailed = lsap.ErrInfeasible // any sentinel; only identity matters here
 
-// TestCompileHostReflectsWarmth sanity-checks the timing the
-// trajectory suite records: warm CompileHost must be microseconds-ish,
-// not the milliseconds of a real build.
+// TestCompileHostReflectsWarmth sanity-checks Result.CompileHost, which
+// hunipubench reads for its program-cache acquire time: warm
+// CompileHost must be microseconds-ish, not the milliseconds of a real
+// build.
 func TestCompileHostReflectsWarmth(t *testing.T) {
 	o, _ := cacheOptions(2)
 	s := newSolver(t, o)

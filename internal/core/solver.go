@@ -226,11 +226,6 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		}
 		return fail.with(err)
 	}
-	if s.opts.CheckInvariants {
-		if err := b.checkInvariants(a); err != nil {
-			return nil, err
-		}
-	}
 	// Mandatory output attestation (guard mode): certify the matching
 	// against the pristine input with the dual potentials before it can
 	// be returned — a wrong answer becomes a typed *CorruptionError, not

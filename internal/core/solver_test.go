@@ -610,14 +610,27 @@ func TestSolverConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestInvariantsHoldOnRandomSolves checks the final device state of
+// each solve's cached program: non-negative slack, stars on zeros and
+// consistent star tables.
 func TestInvariantsHoldOnRandomSolves(t *testing.T) {
 	o := testOptions()
-	o.CheckInvariants = true
+	o.Cache = NewProgramCache(1)
 	s := newSolver(t, o)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(40)
-		if _, err := s.Solve(randomIntMatrix(rng, n, 5+rng.Intn(30*n))); err != nil {
+		sol, err := s.Solve(randomIntMatrix(rng, n, 5+rng.Intn(30*n)))
+		if err != nil {
+			t.Fatalf("trial %d n=%d: %v", trial, n, err)
+		}
+		cp, built, err := s.cache.acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
+			return nil, fmt.Errorf("no cached program for n=%d", n)
+		})
+		if err != nil || built {
+			t.Fatalf("trial %d n=%d: cached program lookup: built=%v err=%v", trial, n, built, err)
+		}
+		if err := cp.b.checkInvariants(sol.Assignment); err != nil {
 			t.Fatalf("trial %d n=%d: %v", trial, n, err)
 		}
 	}

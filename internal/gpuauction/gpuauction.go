@@ -47,7 +47,8 @@ type Options struct {
 
 // Solver is the GPU auction. It implements lsap.Solver.
 type Solver struct {
-	opts Options
+	opts    Options
+	auction lsap.AuctionDriver
 }
 
 // New creates a solver, resolving defaults.
@@ -64,10 +65,11 @@ func New(opts Options) (*Solver, error) {
 	if opts.BlockThreads < 0 || opts.BlockThreads > opts.Config.MaxThreadsPerBlock {
 		return nil, fmt.Errorf("gpuauction: BlockThreads = %d out of range", opts.BlockThreads)
 	}
-	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) || opts.Epsilon < 0 {
-		return nil, fmt.Errorf("gpuauction: Epsilon = %g, want finite ≥ 0", opts.Epsilon)
+	d := lsap.AuctionDriver{Solver: "GPU-Auction", Epsilon: opts.Epsilon, WarmPrices: opts.WarmPrices}
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
-	return &Solver{opts: opts}, nil
+	return &Solver{opts: opts, auction: d}, nil
 }
 
 // Name implements lsap.Solver.
@@ -106,51 +108,15 @@ func (s *Solver) SolveDetailed(c *lsap.Matrix) (*Result, error) {
 }
 
 // SolveDetailedContext is SolveDetailed with cancellation support.
+// lsap.AuctionDriver runs the ε schedule; each phase here is a
+// sequence of bid/resolve kernel rounds.
 func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Result, error) {
 	n := c.N
-	if n == 0 {
-		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}}, nil
-	}
-	for _, v := range c.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == lsap.Forbidden {
-			return nil, fmt.Errorf("gpuauction: cost matrix must be finite")
-		}
-	}
 	dev, err := gpu.NewDevice(s.opts.Config)
 	if err != nil {
 		return nil, err
 	}
-
-	// Benefits: b[i][j] = maxC − C[i][j] ≥ 0 (maximisation form).
-	maxC := c.Data[0]
-	for _, v := range c.Data {
-		if v > maxC {
-			maxC = v
-		}
-	}
-	benefit := make([]float64, n*n)
-	var maxB float64
-	for i, v := range c.Data {
-		benefit[i] = maxC - v
-		if benefit[i] > maxB {
-			maxB = benefit[i]
-		}
-	}
-
-	price := make([]float64, n)
-	if s.opts.WarmPrices != nil {
-		if len(s.opts.WarmPrices) != n {
-			return nil, fmt.Errorf("gpuauction: warm prices have %d entries, want %d", len(s.opts.WarmPrices), n)
-		}
-		for j, p := range s.opts.WarmPrices {
-			if math.IsNaN(p) || math.IsInf(p, 0) {
-				return nil, fmt.Errorf("gpuauction: warm price[%d] = %g, want finite", j, p)
-			}
-			price[j] = p
-		}
-	}
 	owner := make([]int, n)
-	assigned := make([]int, n)
 	bidVal := make([]float64, n)
 	bidder := make([]int, n)
 
@@ -162,23 +128,13 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		}
 		return b
 	}
-
-	eps := maxB / 2
-	if eps <= 0 {
-		eps = 1
-	}
-	epsMin := 1.0 / float64(n+1)
 	maxRounds := s.opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 200 * int64(n)
 	}
 
-	var (
-		rounds int64
-		pots   lsap.Potentials
-		gap    = math.Inf(1)
-	)
-	for {
+	var rounds int64
+	sol, err := s.auction.Solve(c, func(eps float64, benefit, price []float64, assigned []int) error {
 		// Each ε-phase restarts the assignment (standard ε-scaling).
 		for j := range owner {
 			owner[j] = -1
@@ -188,10 +144,10 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		var phaseRounds int64
 		for unassigned > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			if phaseRounds++; phaseRounds > maxRounds {
-				return nil, fmt.Errorf("gpuauction: exceeded %d rounds in one phase", maxRounds)
+				return fmt.Errorf("gpuauction: exceeded %d rounds in one phase", maxRounds)
 			}
 			rounds++
 			// Bid kernel: every unassigned bidder scans its benefits
@@ -234,11 +190,10 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 					bidder[bestJ] = i
 				}
 			}); err != nil {
-				return nil, err
+				return err
 			}
 			// Resolve kernel: objects accept their highest bid, evicting
 			// the previous owner.
-			evicted := 0
 			if _, err := dev.Launch("auc_resolve", grid(n), threads, func(t *gpu.Thread) {
 				j := t.GlobalID()
 				if j >= n || bidder[j] < 0 {
@@ -247,7 +202,6 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 				}
 				if prev := owner[j]; prev >= 0 {
 					assigned[prev] = -1
-					evicted++
 				}
 				owner[j] = bidder[j]
 				assigned[bidder[j]] = j
@@ -255,9 +209,11 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 				t.Charge(6)
 				t.GlobalRandom(24)
 			}); err != nil {
-				return nil, err
+				return err
 			}
-			dev.HostSync() // host re-counts the unassigned set
+			// The host re-counts the unassigned set; at the phase's end
+			// the prices are host-resident for the driver's certificate.
+			dev.HostSync()
 			unassigned = 0
 			for _, j := range assigned {
 				if j < 0 {
@@ -265,39 +221,10 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 				}
 			}
 		}
-		// Phase boundary: every bidder is assigned at ε-complementary
-		// slackness, so host-side price-derived duals certify the
-		// assignment within n·ε (the natural sync point — prices are
-		// already host-resident after HostSync). In bounded mode a
-		// certified-within-Epsilon phase ends the scaling schedule.
-		phaseA := make(lsap.Assignment, n)
-		copy(phaseA, assigned)
-		pots = lsap.PriceDuals(c, price)
-		gap = lsap.NormalizedGap(phaseA.Cost(c), pots.DualObjective())
-		if s.opts.Epsilon > 0 && gap <= s.opts.Epsilon {
-			break
-		}
-		if eps < epsMin {
-			break
-		}
-		eps /= lsap.AuctionEpsScale
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	a := make(lsap.Assignment, n)
-	copy(a, assigned)
-	if err := a.Validate(n); err != nil {
-		return nil, fmt.Errorf("gpuauction: produced invalid matching: %w", err)
-	}
-	if s.opts.Epsilon > 0 {
-		// The bounded contract: attested within ε or a typed failure.
-		if err := lsap.VerifyOptimalWithBound(c, a, pots, s.opts.Epsilon); err != nil {
-			return nil, &lsap.GapError{Solver: "GPU-Auction", Epsilon: s.opts.Epsilon, Gap: gap}
-		}
-	}
-	return &Result{
-		Solution: &lsap.Solution{Assignment: a, Cost: a.Cost(c), Potentials: &pots, Gap: gap},
-		Stats:    dev.Stats(),
-		Modeled:  dev.ModeledTime(),
-		Rounds:   rounds,
-	}, nil
+	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Rounds: rounds}, nil
 }

@@ -1,7 +1,6 @@
 package ipuauction
 
 import (
-	"fmt"
 	"math"
 
 	"hunipu/internal/lsap"
@@ -35,20 +34,13 @@ type auctionBuilder struct {
 	roundGo *poplar.Tensor // Bool scalar
 }
 
-func newAuctionBuilder(o Options, n int, epsMin float64) (*auctionBuilder, error) {
+// newAuctionBuilder lays out an n×n auction (n ≥ 1) over ⌈n/tiles⌉
+// rows per tile, so the row blocks always fit the device's tiles.
+func newAuctionBuilder(o Options, n int, epsMin float64) *auctionBuilder {
 	b := &auctionBuilder{o: o, g: poplar.NewGraph(o.Config), n: n, epsMin: epsMin}
 	tiles := o.Config.Tiles()
-	b.rowsPerTile = o.RowsPerTile
-	if b.rowsPerTile == 0 {
-		b.rowsPerTile = (n + tiles - 1) / tiles
-	}
-	if b.rowsPerTile <= 0 {
-		return nil, fmt.Errorf("ipuauction: RowsPerTile = %d", b.rowsPerTile)
-	}
+	b.rowsPerTile = (n + tiles - 1) / tiles
 	b.numBlocks = (n + b.rowsPerTile - 1) / b.rowsPerTile
-	if b.numBlocks > tiles {
-		return nil, fmt.Errorf("ipuauction: n=%d needs %d tiles, device has %d", n, b.numBlocks, tiles)
-	}
 	b.utilTile = tiles - 1
 	if b.utilTile < b.numBlocks {
 		b.utilTile = 0
@@ -97,7 +89,7 @@ func newAuctionBuilder(o Options, n int, epsMin float64) (*auctionBuilder, error
 		*v.t = g.AddVariable(v.nm, v.dt, 1)
 		g.MapAllTo(*v.t, b.utilTile)
 	}
-	return b, nil
+	return b
 }
 
 func (b *auctionBuilder) blockRows(blk int) (int, int) {

@@ -17,8 +17,8 @@ package ipuauction
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"hunipu/internal/faultinject"
@@ -31,8 +31,6 @@ import (
 type Options struct {
 	// Config is the simulated device; zero value means ipu.MK2().
 	Config ipu.Config
-	// RowsPerTile fixes the row mapping; 0 derives ceil(n/tiles).
-	RowsPerTile int
 	// MaxSupersteps bounds execution. 0 means 2^40.
 	MaxSupersteps int64
 	// Fault installs a deterministic fault injector on the simulated
@@ -60,7 +58,8 @@ type Options struct {
 
 // Solver is the IPU auction. It implements lsap.Solver.
 type Solver struct {
-	opts Options
+	opts    Options
+	auction lsap.AuctionDriver
 }
 
 // New creates a solver, resolving defaults.
@@ -71,10 +70,11 @@ func New(opts Options) (*Solver, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) || opts.Epsilon < 0 {
-		return nil, fmt.Errorf("ipuauction: Epsilon = %g, want finite ≥ 0", opts.Epsilon)
+	d := lsap.AuctionDriver{Solver: "IPU-Auction", Epsilon: opts.Epsilon, WarmPrices: opts.WarmPrices}
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
-	return &Solver{opts: opts}, nil
+	return &Solver{opts: opts, auction: d}, nil
 }
 
 // Name implements lsap.Solver.
@@ -116,20 +116,9 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	if n == 0 {
 		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}}, nil
 	}
-	for _, v := range c.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == lsap.Forbidden {
-			return nil, fmt.Errorf("ipuauction: cost matrix must be finite")
-		}
-	}
-	if s.opts.WarmPrices != nil {
-		if len(s.opts.WarmPrices) != n {
-			return nil, fmt.Errorf("ipuauction: warm prices have %d entries, want %d", len(s.opts.WarmPrices), n)
-		}
-		for j, p := range s.opts.WarmPrices {
-			if math.IsNaN(p) || math.IsInf(p, 0) {
-				return nil, fmt.Errorf("ipuauction: warm price[%d] = %g, want finite", j, p)
-			}
-		}
+	benefit, _, price, err := s.auction.Prepare(c)
+	if err != nil {
+		return nil, err
 	}
 
 	// The device ε floor: 1/(n+1) gives exactness on integer matrices.
@@ -160,37 +149,24 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 			epsMin = alt
 		}
 	}
-	var (
-		r       *Result
-		lastGap = math.Inf(1)
-		err     error
-	)
-	for attempt := 0; attempt < 3; attempt++ {
-		r, err = s.runOnce(ctx, c, epsMin)
-		if err != nil {
-			return nil, err
+	// A readback the certificate cannot attest within Epsilon re-runs
+	// at a tighter floor, at most twice, before its *GapError stands.
+	for attempt := 1; ; attempt++ {
+		r, err := s.runOnce(ctx, c, benefit, price, epsMin)
+		var ge *lsap.GapError
+		if errors.As(err, &ge) && attempt < 3 {
+			epsMin /= 8
+			continue
 		}
-		if s.opts.Epsilon == 0 {
-			return r, nil
-		}
-		// The bounded contract: attested within ε or a typed failure.
-		if cerr := lsap.VerifyOptimalWithBound(c, r.Solution.Assignment, *r.Solution.Potentials, s.opts.Epsilon); cerr == nil {
-			return r, nil
-		}
-		lastGap = r.Solution.Gap
-		epsMin /= 8
+		return r, err
 	}
-	return nil, &lsap.GapError{Solver: "IPU-Auction", Epsilon: s.opts.Epsilon, Gap: lastGap}
 }
 
 // runOnce builds and executes one on-device auction at the given ε
-// floor, returning the readback with its price-derived certificate.
-func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, epsMin float64) (*Result, error) {
+// floor and certifies the readback with its price-derived duals.
+func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, benefit, price []float64, epsMin float64) (*Result, error) {
 	n := c.N
-	b, err := newAuctionBuilder(s.opts, n, epsMin)
-	if err != nil {
-		return nil, err
-	}
+	b := newAuctionBuilder(s.opts, n, epsMin)
 	dev, err := ipu.NewDevice(s.opts.Config)
 	if err != nil {
 		return nil, err
@@ -209,23 +185,12 @@ func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, epsMin float64) (*
 		return nil, fmt.Errorf("ipuauction: graph compilation failed: %w", err)
 	}
 
-	// Benefits: b[i][j] = maxC − C[i][j] (maximisation form).
-	maxC := c.Data[0]
-	for _, v := range c.Data {
-		if v > maxC {
-			maxC = v
-		}
-	}
-	benefit := make([]float64, n*n)
-	for i, v := range c.Data {
-		benefit[i] = maxC - v
-	}
 	dev.ResetClock()
 	if err := eng.HostWrite(b.benefit, benefit); err != nil {
 		return nil, fmt.Errorf("ipuauction: input transfer failed: %w", err)
 	}
 	if s.opts.WarmPrices != nil {
-		if err := eng.HostWrite(b.price, s.opts.WarmPrices); err != nil {
+		if err := eng.HostWrite(b.price, price); err != nil {
 			return nil, fmt.Errorf("ipuauction: warm-price transfer failed: %w", err)
 		}
 	}
@@ -247,20 +212,15 @@ func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, epsMin float64) (*
 	for i, v := range out {
 		a[i] = int(v)
 	}
-	if err := a.Validate(n); err != nil {
-		return nil, fmt.Errorf("ipuauction: produced invalid matching: %w", err)
-	}
-	// Read the final prices back and derive feasible duals host-side:
-	// the certificate attached to every result, exact or bounded.
+	// Read the final prices back: the host derives the certificate
+	// attached to every result, exact or bounded.
 	prices, err := eng.HostRead(b.price)
 	if err != nil {
 		return nil, fmt.Errorf("ipuauction: price readback failed: %w", err)
 	}
-	pots := lsap.PriceDuals(c, prices)
-	gap := lsap.NormalizedGap(a.Cost(c), pots.DualObjective())
-	return &Result{
-		Solution: &lsap.Solution{Assignment: a, Cost: a.Cost(c), Potentials: &pots, Gap: gap},
-		Stats:    dev.Stats(),
-		Modeled:  dev.ModeledTime(),
-	}, nil
+	sol, err := s.auction.Certify(c, a, prices)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime()}, nil
 }

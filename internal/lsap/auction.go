@@ -1,0 +1,157 @@
+package lsap
+
+import (
+	"fmt"
+	"math"
+)
+
+// AuctionEpsScale is the factor every ε-scaling auction (CPU, IPU and
+// GPU) divides ε by between phases.
+const AuctionEpsScale = 4
+
+// AuctionDriver is the host side of Bertsekas' ε-scaling auction that
+// the CPU, GPU and IPU ports share: input validation, the benefit
+// transform, the ε schedule with its certified early exit, and the
+// final certificate. A port supplies only its bidding kernel.
+//
+// The auction solves the minimisation LSAP as a maximisation over
+// benefits b[i][j] = max C − C[i][j] ≥ 0. Every phase ends with all
+// rows assigned at ε-complementary slackness, so the price-derived
+// duals (see PriceDuals) certify the phase's assignment within n·ε.
+// With Epsilon = 0 the schedule drives ε below 1/(n+1), which is
+// exactly optimal on integer costs; with Epsilon > 0 it stops at the
+// first phase certified within Epsilon. A bounded answer is attested
+// within Epsilon by VerifyOptimalWithBound or withheld as a *GapError.
+type AuctionDriver struct {
+	// Solver names the port in errors and in *GapError.
+	Solver string
+	// Epsilon is the target normalized optimality gap (see
+	// NormalizedGap). 0 runs the full schedule.
+	Epsilon float64
+	// WarmPrices seeds the column prices (benefit space; −v[j] of a
+	// prior solve's duals is the natural prior). Length n, finite. The
+	// certificate never depends on them, so a stale prior costs rounds,
+	// not soundness. Nil starts every price at 0.
+	WarmPrices []float64
+}
+
+// AuctionPhase runs one bidding phase at ε: starting from price, it
+// bids until every row holds a column, raising price in place and
+// writing each row's column to assigned. A returned error ends the
+// solve and reaches the caller unwrapped, so ctx.Err() stays
+// comparable.
+type AuctionPhase func(eps float64, benefit, price []float64, assigned []int) error
+
+// Validate rejects an Epsilon that is negative or not finite.
+func (d AuctionDriver) Validate() error {
+	if math.IsNaN(d.Epsilon) || math.IsInf(d.Epsilon, 0) || d.Epsilon < 0 {
+		return fmt.Errorf("lsap: %s Epsilon = %g, want finite ≥ 0", d.Solver, d.Epsilon)
+	}
+	return nil
+}
+
+// Prepare validates Epsilon, c and the warm prices, and returns the
+// row-major benefit matrix, its largest entry, and the starting prices.
+// Costs must be finite and free of Forbidden entries.
+func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, price []float64, err error) {
+	if err := d.Validate(); err != nil {
+		return nil, 0, nil, err
+	}
+	maxC := math.Inf(-1)
+	for _, v := range c.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v == Forbidden {
+			return nil, 0, nil, fmt.Errorf("lsap: %s needs finite costs without forbidden edges", d.Solver)
+		}
+		if v > maxC {
+			maxC = v
+		}
+	}
+	price = make([]float64, c.N)
+	if d.WarmPrices != nil {
+		if len(d.WarmPrices) != c.N {
+			return nil, 0, nil, fmt.Errorf("lsap: %s warm prices have %d entries, want %d", d.Solver, len(d.WarmPrices), c.N)
+		}
+		for j, p := range d.WarmPrices {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return nil, 0, nil, fmt.Errorf("lsap: %s warm price[%d] = %g, want finite", d.Solver, j, p)
+			}
+		}
+		copy(price, d.WarmPrices)
+	}
+	benefit = make([]float64, len(c.Data))
+	for i, v := range c.Data {
+		benefit[i] = maxC - v
+		if benefit[i] > maxB {
+			maxB = benefit[i]
+		}
+	}
+	return benefit, maxB, price, nil
+}
+
+// Solve runs the host ε schedule over phase: ε starts at half the
+// largest benefit and is divided by AuctionEpsScale after every phase
+// until a phase is certified within Epsilon (when > 0) or has run
+// below 1/(n+1). The last phase's assignment is returned with its
+// certificate, or a *GapError when a bounded target is not attested.
+func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
+	n := c.N
+	if n == 0 {
+		return &Solution{Assignment: Assignment{}}, nil
+	}
+	benefit, maxB, price, err := d.Prepare(c)
+	if err != nil {
+		return nil, err
+	}
+	eps := maxB / 2
+	if eps <= 0 {
+		eps = 1
+	}
+	epsMin := 1.0 / float64(n+1)
+	assigned := make(Assignment, n)
+	for {
+		if err := phase(eps, benefit, price, assigned); err != nil {
+			return nil, err
+		}
+		sol, err := d.certificate(c, assigned, price)
+		if err != nil {
+			return nil, err
+		}
+		if (d.Epsilon > 0 && sol.Gap <= d.Epsilon) || eps < epsMin {
+			return d.attest(c, sol)
+		}
+		eps /= AuctionEpsScale
+	}
+}
+
+// Certify attaches the price-derived certificate to a complete
+// assignment: the solution with its duals and normalized gap, or, for
+// a bounded target, a *GapError when the duals do not attest it within
+// Epsilon.
+func (d AuctionDriver) Certify(c *Matrix, a Assignment, price []float64) (*Solution, error) {
+	sol, err := d.certificate(c, a, price)
+	if err != nil {
+		return nil, err
+	}
+	return d.attest(c, sol)
+}
+
+// certificate checks that a is a perfect matching and derives the
+// feasible duals of price with the gap they certify.
+func (d AuctionDriver) certificate(c *Matrix, a Assignment, price []float64) (*Solution, error) {
+	if err := a.Validate(c.N); err != nil {
+		return nil, fmt.Errorf("lsap: %s produced an invalid matching: %w", d.Solver, err)
+	}
+	pots := PriceDuals(c, price)
+	cost := a.Cost(c)
+	return &Solution{Assignment: a, Cost: cost, Potentials: &pots, Gap: NormalizedGap(cost, pots.DualObjective())}, nil
+}
+
+// attest enforces the bounded contract: within Epsilon or typed failure.
+func (d AuctionDriver) attest(c *Matrix, sol *Solution) (*Solution, error) {
+	if d.Epsilon > 0 {
+		if err := VerifyOptimalWithBound(c, sol.Assignment, *sol.Potentials, d.Epsilon); err != nil {
+			return nil, &GapError{Solver: d.Solver, Epsilon: d.Epsilon, Gap: sol.Gap}
+		}
+	}
+	return sol, nil
+}

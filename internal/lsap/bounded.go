@@ -47,10 +47,6 @@ func NormalizedGap(cost, bound float64) float64 {
 	return g
 }
 
-// AuctionEpsScale is the factor every ε-scaling auction (CPU, IPU and
-// GPU) divides ε by between phases.
-const AuctionEpsScale = 4
-
 // PriceDuals derives feasible minimisation potentials from auction
 // column prices: v[j] = −p[j] and u[i] = min over non-forbidden j of
 // C[i][j] + p[j]. Feasibility u[i]+v[j] ≤ C[i][j] holds by

@@ -104,11 +104,12 @@ func newBreaker(cfg BreakerConfig, now func() time.Time, onChange func(from, to 
 
 // transition moves the state machine. The caller holds b.mu and must
 // invoke the returned announcement (if non-nil) only after releasing
-// it: the change hook reaches user code (Config.OnBreakerChange),
-// and a hook that re-enters the breaker — State() from a readiness
-// probe is the obvious case — would self-deadlock if fired under the
-// lock. Announcements may interleave across racing transitions; the
-// hook receives (from, to) pairs, not a serialized history.
+// it: the change hook is supplied by the breaker's owner (the
+// server's metrics recorder), and a hook that re-enters the breaker —
+// State() from a readiness probe is the obvious case — would
+// self-deadlock if fired under the lock. Announcements may interleave
+// across racing transitions; the hook receives (from, to) pairs, not a
+// serialized history.
 func (b *breaker) transition(to BreakerState) func() {
 	from := b.state
 	if from == to {

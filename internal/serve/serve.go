@@ -45,7 +45,7 @@ type Request struct {
 	// of each successful solve are cached under it and warm-start the
 	// next same-shaped solve with the same key (tracking workloads
 	// re-solve near-identical matrices every frame). Off by default;
-	// see Config.WarmCacheSize.
+	// the server keeps the duals of the 128 most recently used keys.
 	Key string
 }
 
@@ -97,9 +97,6 @@ type Config struct {
 	// WithFaultSchedule these are NOT cloned per solve, so a
 	// times-bounded schedule drains across requests.
 	Inject map[hunipu.Device]faultinject.Injector
-	// OnBreakerChange, when set, observes every breaker transition
-	// (already counted in Metrics).
-	OnBreakerChange func(d hunipu.Device, from, to BreakerState)
 	// Now is the clock (tests inject a fake one). nil means time.Now.
 	Now func() time.Time
 	// BrownoutTiers arms the brownout controller: the ε ladder
@@ -118,10 +115,6 @@ type Config struct {
 	// even with a comfortable deadline. 0 means 0.75; ≥ 1 disables
 	// pressure-triggered brownouts (deadline-triggered ones remain).
 	BrownoutQueueFraction float64
-	// WarmCacheSize bounds the per-key dual cache for streaming
-	// clients (Request.Key): 0 means 128 keys, negative disables the
-	// cache entirely.
-	WarmCacheSize int
 }
 
 // withDefaults resolves zero fields.
@@ -146,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BrownoutQueueFraction == 0 {
 		c.BrownoutQueueFraction = 0.75
-	}
-	if c.WarmCacheSize == 0 {
-		c.WarmCacheSize = 128
 	}
 	c.Breaker = c.Breaker.withDefaults()
 	return c
@@ -231,17 +221,14 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *item, cfg.QueueDepth),
 		breakers: make(map[hunipu.Device]*breaker),
 		model:    newCostModel(cfg.SeedCostPerCell),
-		warm:     newWarmCache(cfg.WarmCacheSize),
+		warm:     newWarmCache(),
 	}
 	//hunipulint:ignore ctxflow server-lifetime root context; Stop calls hardCancel
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	for _, d := range cfg.Devices {
 		d := d
-		s.breakers[d] = newBreaker(cfg.Breaker, cfg.Now, func(from, to BreakerState) {
+		s.breakers[d] = newBreaker(cfg.Breaker, cfg.Now, func(_, to BreakerState) {
 			s.metrics.observeBreaker(d, to)
-			if cfg.OnBreakerChange != nil {
-				cfg.OnBreakerChange(d, from, to)
-			}
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {

@@ -17,7 +17,6 @@ import (
 // dimension-matched priors.
 type warmCache struct {
 	mu  sync.Mutex
-	cap int
 	ll  *list.List // front = most recent
 	idx map[string]*list.Element
 }
@@ -28,19 +27,17 @@ type warmEntry struct {
 	duals      *hunipu.Duals
 }
 
-// newWarmCache returns a cache holding up to capacity keys; nil when
-// capacity ≤ 0 (the methods tolerate a nil receiver).
-func newWarmCache(capacity int) *warmCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &warmCache{cap: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
+// warmCacheKeys is how many stream keys the server's warm cache holds.
+const warmCacheKeys = 128
+
+func newWarmCache() *warmCache {
+	return &warmCache{ll: list.New(), idx: make(map[string]*list.Element)}
 }
 
 // get returns the cached duals for key when they match the rows×cols
 // shape, marking the key most-recently-used.
 func (c *warmCache) get(key string, rows, cols int) *hunipu.Duals {
-	if c == nil || key == "" {
+	if key == "" {
 		return nil
 	}
 	c.mu.Lock()
@@ -60,7 +57,7 @@ func (c *warmCache) get(key string, rows, cols int) *hunipu.Duals {
 // put stores the duals of a solved rows×cols request under key,
 // evicting the least-recently-used key when full.
 func (c *warmCache) put(key string, rows, cols int, d *hunipu.Duals) {
-	if c == nil || key == "" || d == nil {
+	if key == "" || d == nil {
 		return
 	}
 	c.mu.Lock()
@@ -71,7 +68,7 @@ func (c *warmCache) put(key string, rows, cols int, d *hunipu.Duals) {
 		return
 	}
 	c.idx[key] = c.ll.PushFront(&warmEntry{key: key, rows: rows, cols: cols, duals: d})
-	if c.ll.Len() > c.cap {
+	if c.ll.Len() > warmCacheKeys {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.idx, last.Value.(*warmEntry).key)
@@ -80,9 +77,6 @@ func (c *warmCache) put(key string, rows, cols int, d *hunipu.Duals) {
 
 // len reports the number of cached keys.
 func (c *warmCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -53,8 +53,7 @@ func ProgramCacheSnapshot() ProgramCacheStats {
 // least-recently-used programs that no longer fit. Capacity ≤ 0
 // disables caching entirely: every solve then rebuilds and recompiles
 // its program, which is only useful for memory-constrained hosts or
-// for benchmarking the cold path (cmd/experiments -trajectory does
-// exactly that to measure cold-vs-warm).
+// for timing the cold path.
 func SetProgramCacheCapacity(capacity int) {
 	core.DefaultCache().SetCapacity(capacity)
 }
