@@ -20,8 +20,10 @@ import (
 // exact reference, not the solver's own certificate — or in a typed
 // error (*faultinject.FaultError from the injected fault classes,
 // *lsap.GapError when the solver refuses to attest within ε). The ε=0
-// tier degenerates to the exact contract and re-proves the RunChaos
-// invariant through the quality knob.
+// tier degenerates to the exact contract and re-proves the
+// AnnouncedSweep invariant through the quality knob. It stays apart
+// from Sweep because its contract differs: answers within ε of an
+// independent reference, through the public API.
 
 // BoundedChaosConfig parameterises a bounded-quality fault sweep.
 type BoundedChaosConfig struct {
@@ -153,7 +155,7 @@ func RunBoundedChaos(cfg BoundedChaosConfig) (*BoundedChaosReport, error) {
 			for _, in := range instances {
 				clone := sched.Clone()
 				report.Runs++
-				//hunipulint:ignore ctxflow chaos sweeps are uncancellable by design, like RunChaos's Solve calls
+				//hunipulint:ignore ctxflow sweeps are uncancellable by design: every run finishes or fails on its own
 				res, err := hunipu.SolveContext(context.Background(), in.costs,
 					hunipu.OnIPU(),
 					hunipu.WithIPUOptions(core.Options{Config: smallIPU(), MaxSupersteps: 20000}),

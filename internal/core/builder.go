@@ -131,10 +131,8 @@ func newBuilder(o Options, n int) (*builder, error) {
 	if rowTiles == 0 {
 		rowTiles = 1
 	}
-	b.rowsPerTile = o.RowsPerTile
-	if b.rowsPerTile == 0 {
-		b.rowsPerTile = (n + rowTiles - 1) / rowTiles
-	}
+	// Rows are balanced over the row tiles: the paper's ceil(n/tiles).
+	b.rowsPerTile = (n + rowTiles - 1) / rowTiles
 	if b.rowsPerTile == 0 {
 		b.rowsPerTile = 1
 	}
@@ -144,7 +142,7 @@ func newBuilder(o Options, n int) (*builder, error) {
 	}
 	chips := o.Config.IPUs
 	if perChip := (b.numBlocks + chips - 1) / chips; perChip*b.colBlocks > o.Config.TilesPerIPU {
-		return nil, fmt.Errorf("core: n=%d needs %d tiles per chip, a chip has %d (raise RowsPerTile)",
+		return nil, fmt.Errorf("core: n=%d needs %d tiles per chip, a chip has %d",
 			n, perChip*b.colBlocks, o.Config.TilesPerIPU)
 	}
 	// Scalars and path state live on the last tile not used by the

@@ -41,10 +41,6 @@ type Options struct {
 	// 0 means Config.ThreadsPerTile.
 	ThreadsPerRow int
 
-	// RowsPerTile fixes how many matrix rows each tile owns; 0 derives
-	// the balanced ceil(n/tiles) the paper uses.
-	RowsPerTile int
-
 	// DisableCompression turns the Section IV-B compression scheme off
 	// (ablation): Steps 2 and 4 then scan full rows of the slack
 	// matrix instead of only the recorded zero positions.
@@ -144,9 +140,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.ThreadsPerRow < 0 {
 		return o, fmt.Errorf("core: ThreadsPerRow = %d, want > 0", o.ThreadsPerRow)
-	}
-	if o.RowsPerTile < 0 {
-		return o, fmt.Errorf("core: RowsPerTile = %d, want ≥ 0", o.RowsPerTile)
 	}
 	if o.Epsilon < 0 {
 		return o, fmt.Errorf("core: Epsilon = %g, want ≥ 0", o.Epsilon)

@@ -38,7 +38,6 @@ type programKey struct {
 
 	colSegment         int
 	threadsPerRow      int
-	rowsPerTile        int
 	disableCompression bool
 	use2D              bool
 	epsilon            float64
@@ -75,8 +74,8 @@ func (k programKey) Fingerprint() string {
 	if k.minIPUs > 0 {
 		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d fault=%s%s%s",
-		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow, k.rowsPerTile,
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d fault=%s%s%s",
+		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow,
 		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
 		k.checkpointEvery, k.maxSupersteps, k.parallelism, fault, fabric, private)
 }
@@ -325,7 +324,6 @@ func (s *Solver) keyFor(n int, lost uint64) programKey {
 		cfg:                o.survivors(lost).Config,
 		colSegment:         o.ColSegment,
 		threadsPerRow:      o.ThreadsPerRow,
-		rowsPerTile:        o.RowsPerTile,
 		disableCompression: o.DisableCompression,
 		use2D:              o.Use2D,
 		epsilon:            o.Epsilon,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -361,16 +362,20 @@ func TestThreadsPerRowVariants(t *testing.T) {
 	}
 }
 
+// TestTooManyRowsForDevice: the 2D ablation splits every row group
+// over 4 column-block tiles, so a 2-tile chip cannot hold even one
+// group and the builder refuses the layout.
 func TestTooManyRowsForDevice(t *testing.T) {
 	cfg := ipu.MK2()
-	cfg.TilesPerIPU = 4
-	s := newSolver(t, Options{Config: cfg, RowsPerTile: 1})
-	m := lsap.NewMatrix(8) // 8 rows at 1/tile on a 4-tile device
+	cfg.TilesPerIPU = 2
+	s := newSolver(t, Options{Config: cfg, Use2D: true})
+	m := lsap.NewMatrix(8)
 	for i := range m.Data {
 		m.Data[i] = float64(i%7 + 1)
 	}
-	if _, err := s.Solve(m); err == nil {
-		t.Fatal("expected capacity error")
+	_, err := s.Solve(m)
+	if err == nil || !strings.Contains(err.Error(), "needs 4 tiles per chip, a chip has 2") {
+		t.Fatalf("err = %v, want the per-chip tile check", err)
 	}
 }
 

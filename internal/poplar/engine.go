@@ -37,9 +37,15 @@ func WithMaxSupersteps(n int64) EngineOption {
 }
 
 // WithProfiling collects a per-compute-set execution profile,
-// retrievable with Engine.Profile after Run.
+// retrievable with Engine.Profile after Run. Every compute set's entry
+// is bound here, once, so executing one only adds to it.
 func WithProfiling() EngineOption {
-	return func(e *Engine) { e.profile = map[string]*CSProfile{} }
+	return func(e *Engine) {
+		e.profile = make([]CSProfile, len(e.graph.computeSets))
+		for i, cs := range e.graph.computeSets {
+			e.profile[i].Name = cs.Name
+		}
+	}
 }
 
 // CSProfile is the accumulated profile of one compute set across all
@@ -64,7 +70,7 @@ type Engine struct {
 
 	compiledCS map[int]bool
 	verified   *VerifyReport
-	profile    map[string]*CSProfile
+	profile    []CSProfile // indexed by compute-set id; nil unless profiling
 	trace      *traceLog
 	scratch    struct {
 		tileTime map[int]int64
@@ -154,12 +160,14 @@ func (e *Engine) Device() *ipu.Device { return e.dev }
 // the C4 hot-spot flags for inspection.
 func (e *Engine) VerifyReport() *VerifyReport { return e.verified }
 
-// Profile returns the per-compute-set profiles collected so far,
+// Profile returns the profiles of the compute sets executed so far,
 // sorted by descending compute cycles. Empty without WithProfiling.
 func (e *Engine) Profile() []CSProfile {
 	out := make([]CSProfile, 0, len(e.profile))
 	for _, p := range e.profile {
-		out = append(out, *p)
+		if p.Executions > 0 {
+			out = append(out, p)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ComputeCycles != out[j].ComputeCycles {
@@ -365,18 +373,12 @@ func (e *Engine) runComputeSet(cs *ComputeSet) error {
 		}
 	}
 
+	var start int64
 	if e.trace != nil {
-		start := e.dev.Stats().TotalCycles()
-		defer func(start int64) {
-			e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))
-		}(start)
+		start = e.dev.Stats().TotalCycles()
 	}
 	if e.profile != nil {
-		p := e.profile[cs.Name]
-		if p == nil {
-			p = &CSProfile{Name: cs.Name}
-			e.profile[cs.Name] = p
-		}
+		p := &e.profile[cs.id]
 		p.Executions++
 		var max int64
 		//hunipulint:ignore nodeterminism commutative max reduction; order-independent
@@ -389,6 +391,9 @@ func (e *Engine) runComputeSet(cs *ComputeSet) error {
 		p.Vertices += int64(len(cs.vertices))
 	}
 	e.dev.Superstep(tileTime, cs.exchIn, cs.exchOut, cs.crossBytes, int64(len(cs.vertices)))
+	if e.trace != nil {
+		e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))
+	}
 	return e.checkBudget()
 }
 

@@ -310,7 +310,6 @@ func (e *Engine) guardVerify() error {
 // charging detection latency against the earliest undetected silent
 // injection.
 func (e *Engine) guardTrip(guard string, err error) *faultinject.CorruptionError {
-	e.report.GuardTrips++
 	ce := e.NewCorruptionError(guard, err)
 	if ce.Latency > e.report.DetectionLatency {
 		e.report.DetectionLatency = ce.Latency
@@ -319,11 +318,12 @@ func (e *Engine) guardTrip(guard string, err error) *faultinject.CorruptionError
 	return ce
 }
 
-// NewCorruptionError assembles a typed corruption report at the current
-// execution position. Exposed so solver layers can wrap their own
-// detections (output attestation, structural validation) with the same
-// latency bookkeeping.
+// NewCorruptionError counts a detection in the run report and assembles
+// its typed corruption error at the current execution position.
+// Exposed so solver layers can wrap their own detections (output
+// attestation, structural validation) with the same bookkeeping.
 func (e *Engine) NewCorruptionError(guard string, err error) *faultinject.CorruptionError {
+	e.report.GuardTrips++
 	detected := e.dev.Stats().Supersteps
 	ce := &faultinject.CorruptionError{
 		Guard:    guard,

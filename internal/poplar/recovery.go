@@ -49,8 +49,9 @@ type RunReport struct {
 	CheckpointsSaved int
 	// CheckpointsRestored counts resumes from a snapshot.
 	CheckpointsRestored int
-	// GuardTrips counts silent-corruption detections (checksum
-	// mismatches, invariant probe failures) by the guard layer.
+	// GuardTrips counts silent-corruption detections: checksum
+	// mismatches, invariant probe failures and watchdog verdicts, plus
+	// the solver layer's own checks (NewCorruptionError).
 	GuardTrips int
 	// SilentFaults counts silent injections applied to live state.
 	SilentFaults int
@@ -327,7 +328,6 @@ func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out 
 			// corrupted control predicate. The superstep clock is monotone
 			// across restores, so re-execution cannot fit in the exhausted
 			// budget: surface the typed corruption verdict directly.
-			e.report.GuardTrips++
 			return nil, e.NewCorruptionError("watchdog", err)
 		}
 		if ce, ok := faultinject.AsCorruption(err); ok {

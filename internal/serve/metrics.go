@@ -33,7 +33,7 @@ type Metrics struct {
 	InFlight atomic.Int64
 	// Guard telemetry (see Config.Guard and hunipu.WithGuard):
 	// GuardTrips counts silent-corruption detections across all solves
-	// (recovered or terminal), AttestationFailures counts final output
+	// (recovered or terminal, each once), AttestationFailures counts final output
 	// attestations that rejected a result, and RollbackEpochs counts
 	// checkpoint epochs discarded as poisoned during certified rollback.
 	GuardTrips          atomic.Int64

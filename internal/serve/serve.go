@@ -545,13 +545,17 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 				s.metrics.ShardRollbacks.Add(int64(a.Retries))
 				s.metrics.Quarantined.Add(int64(len(a.QuarantinedDevices)))
 			}
-			// Guard telemetry: recovered detections ride on successful
-			// attempts; a terminal detection is the attempt's typed error.
+			// Guard telemetry: an attempt's recovery report counts every
+			// detection, the terminal one included. A failed single-chip
+			// attempt carries no report, so its terminal detection is read
+			// off its typed error instead.
 			s.metrics.GuardTrips.Add(int64(a.GuardTrips))
 			s.metrics.RollbackEpochs.Add(int64(a.RollbackEpochs))
 			if ce, ok := faultinject.AsCorruption(a.Err); ok {
-				s.metrics.GuardTrips.Add(1)
-				s.metrics.RollbackEpochs.Add(int64(ce.PoisonedEpochs))
+				if a.ShardDetail == nil {
+					s.metrics.GuardTrips.Add(1)
+					s.metrics.RollbackEpochs.Add(int64(ce.PoisonedEpochs))
+				}
 				if ce.Guard == "attestation" {
 					s.metrics.AttestationFailures.Add(1)
 				}

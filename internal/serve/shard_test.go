@@ -93,3 +93,45 @@ func TestShardConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedGuardTripCountedOnce: a failed sharded attempt's recovery
+// report counts every detection, the terminal one included, whether
+// the engine guard tripped (a checksum caught a link flip) or the
+// solver's own structural check did (dropped writes broke the
+// matching). The guard expvars must equal the attempt's counts.
+func TestShardedGuardTripCountedOnce(t *testing.T) {
+	for _, spec := range []string{"linkflip every=1 device=1", "stale every=2 times=6"} {
+		t.Run(spec, func(t *testing.T) {
+			sched, err := faultinject.ParseSchedule(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestServer(t, Config{
+				Devices:         []hunipu.Device{hunipu.DeviceIPU, hunipu.DeviceCPU},
+				Workers:         1,
+				Shards:          2,
+				MinShardDevices: 2,
+				Inject:          map[hunipu.Device]faultinject.Injector{hunipu.DeviceIPU: sched},
+			})
+			res, err := s.Submit(context.Background(), Request{Costs: testCosts(24, 10)})
+			if err != nil {
+				t.Fatalf("submit failed: %v", err)
+			}
+			att := res.Report.Attempts[0]
+			if att.Device != hunipu.DeviceIPU || att.ShardDetail == nil {
+				t.Fatalf("first attempt on %v (ShardDetail %v), want a sharded IPU attempt", att.Device, att.ShardDetail)
+			}
+			if _, ok := faultinject.AsCorruption(att.Err); !ok {
+				t.Fatalf("IPU attempt error = %v, want a typed corruption", att.Err)
+			}
+			if att.GuardTrips == 0 {
+				t.Fatal("failed sharded attempt reports no guard trips")
+			}
+			g := guardVars(t, s)
+			if g["guard_trips"] != int64(att.GuardTrips) || g["rollback_epochs"] != int64(att.RollbackEpochs) {
+				t.Errorf("guard_trips = %d, rollback_epochs = %d; the attempt reports %d and %d",
+					g["guard_trips"], g["rollback_epochs"], att.GuardTrips, att.RollbackEpochs)
+			}
+		})
+	}
+}

@@ -106,7 +106,8 @@ type Attempt struct {
 	// transient ones that recovery absorbed.
 	Faults int64
 	// GuardTrips counts silent-corruption detections (checksum
-	// mismatches, invariant-probe failures) during the attempt; see
+	// mismatches, invariant-probe failures, output attestation and
+	// structural checks) during the attempt; see
 	// WithGuard. RollbackEpochs counts checkpoint epochs discarded as
 	// poisoned during certified rollback, and DetectionLatency is the
 	// worst injection-to-detection distance in supersteps (0 when
