@@ -51,8 +51,9 @@ type Options struct {
 	// on different tiles, so every row-status step pays exchange.
 	Use2D bool
 
-	// Parallelism is host-side execution parallelism (no effect on
-	// modeled cycles). 0 means GOMAXPROCS.
+	// Parallelism was host-side execution parallelism.
+	//
+	// Deprecated: ignored; solves always run serially.
 	Parallelism int
 
 	// MaxSupersteps bounds execution as a safety net. 0 means 2^40.

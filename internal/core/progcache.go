@@ -47,7 +47,6 @@ type programKey struct {
 	retryBackoff    time.Duration
 	checkpointEvery int64
 	maxSupersteps   int64
-	parallelism     int
 
 	// minIPUs and lost are the fabric topology: the layout floor and the
 	// original indices of chips a solve has dropped (bit i = chip i), so
@@ -74,10 +73,10 @@ func (k programKey) Fingerprint() string {
 	if k.minIPUs > 0 {
 		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d fault=%s%s%s",
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d fault=%s%s%s",
 		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow,
 		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
-		k.checkpointEvery, k.maxSupersteps, k.parallelism, fault, fabric, private)
+		k.checkpointEvery, k.maxSupersteps, fault, fabric, private)
 }
 
 // CompiledProgram is one shape's reusable artefact: the laid-out
@@ -332,7 +331,6 @@ func (s *Solver) keyFor(n int, lost uint64) programKey {
 		retryBackoff:       o.RetryBackoff,
 		checkpointEvery:    o.CheckpointEvery,
 		maxSupersteps:      o.MaxSupersteps,
-		parallelism:        o.Parallelism,
 		minIPUs:            o.MinIPUs,
 		lost:               lost,
 	}
@@ -389,9 +387,6 @@ func (s *Solver) compileProgram(n int, lost uint64) (*CompiledProgram, error) {
 	}
 	if s.opts.CheckpointEvery > 0 {
 		engOpts = append(engOpts, poplar.WithCheckpointEvery(s.opts.CheckpointEvery))
-	}
-	if s.opts.Parallelism != 0 {
-		engOpts = append(engOpts, poplar.WithParallelism(s.opts.Parallelism))
 	}
 	if s.opts.MaxSupersteps != 0 {
 		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))

@@ -28,7 +28,7 @@ func TestCrossIPUChargedAtLinkRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		const maxBytes, cross = int64(8192), int64(1 << 20)
-		d.Superstep(nil, map[int]int64{0: maxBytes}, nil, cross, 0)
+		d.Superstep(0, Exchange{MaxPortBytes: maxBytes, TotalBytes: maxBytes, CrossBytes: cross}, 0)
 
 		want := cfg.ExchangeLatencyCycles +
 			int64(float64(maxBytes)/cfg.ExchangeBytesPerCycle) +
@@ -40,7 +40,7 @@ func TestCrossIPUChargedAtLinkRate(t *testing.T) {
 }
 
 // TestIntraIPUNotChargedAtLinkRate pins the complement: the same
-// traffic with crossIPUBytes=0 pays only the on-chip exchange rate,
+// traffic with CrossBytes=0 pays only the on-chip exchange rate,
 // regardless of how many chips the fabric has.
 func TestIntraIPUNotChargedAtLinkRate(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
@@ -50,7 +50,7 @@ func TestIntraIPUNotChargedAtLinkRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		const maxBytes = int64(8192)
-		d.Superstep(nil, map[int]int64{0: maxBytes}, nil, 0, 0)
+		d.Superstep(0, Exchange{MaxPortBytes: maxBytes, TotalBytes: maxBytes}, 0)
 
 		want := cfg.ExchangeLatencyCycles +
 			int64(float64(maxBytes)/cfg.ExchangeBytesPerCycle)
@@ -69,7 +69,7 @@ func TestCrossIPUAmortisedOverTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Superstep(nil, map[int]int64{0: 1}, nil, 1<<22, 0)
+		d.Superstep(0, Exchange{MaxPortBytes: 1, TotalBytes: 1, CrossBytes: 1 << 22}, 0)
 		return d.Stats().ExchangeCycles
 	}
 	c1, c2, c4 := cost(1), cost(2), cost(4)

@@ -32,7 +32,7 @@ func TestCheckFaultUsesSuperstepClock(t *testing.T) {
 		if (fe != nil) != (step == 2) {
 			t.Fatalf("superstep %d: fault = %v", step, fe)
 		}
-		d.Superstep(nil, nil, nil, 0, 0)
+		d.Superstep(0, Exchange{}, 0)
 	}
 	if d.Injector() != sched {
 		t.Fatal("Injector() did not return the installed schedule")

@@ -334,53 +334,32 @@ func (d *Device) MaxAllocated() int64 {
 	return max
 }
 
+// Exchange is one superstep's data movement, fixed when the graph
+// compiles (C4): the busiest tile port's bytes in either direction,
+// the total bytes moved (each byte counted once, on the receiver
+// side), and the part of that total which crosses chips.
+type Exchange struct {
+	MaxPortBytes, TotalBytes, CrossBytes int64
+}
+
 // Superstep charges one BSP superstep: the compute phase costs the
-// slowest tile's time (C3), the sync phase a fixed overhead, and the
-// exchange phase prices the heaviest tile's traffic against the fabric
-// bandwidth (plus a latency if anything moved at all).
-//
-// tileCycles holds per-tile compute time for tiles that ran vertices;
-// bytesIn/bytesOut hold per-tile exchange traffic (either may be nil).
-// crossIPUBytes is the portion of traffic that crossed chips.
-func (d *Device) Superstep(tileCycles map[int]int64, bytesIn, bytesOut map[int]int64, crossIPUBytes int64, vertices int64) {
+// slowest tile's time computeCycles (C3), the sync phase a fixed
+// overhead, and the exchange phase prices the busiest port against the
+// fabric bandwidth, plus the cross-chip bytes against the IPU-Link
+// bandwidth and a latency if anything moved at all.
+func (d *Device) Superstep(computeCycles int64, x Exchange, vertices int64) {
 	d.stats.Supersteps++
 	d.stats.VerticesRun += vertices
-	var maxCompute int64
-	//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-	for _, c := range tileCycles {
-		if c > maxCompute {
-			maxCompute = c
-		}
-	}
-	d.stats.ComputeCycles += maxCompute
+	d.stats.ComputeCycles += computeCycles
 	d.stats.SyncCycles += d.cfg.SyncCycles
-
-	// Every byte moved appears once in bytesIn (receiver side) and once
-	// in bytesOut (sender side); total traffic is counted once, while
-	// the phase duration is gated by the busiest port in either
-	// direction.
-	var maxBytes, total int64
-	//hunipulint:ignore nodeterminism commutative sum/max reduction; order-independent
-	for _, b := range bytesIn {
-		total += b
-		if b > maxBytes {
-			maxBytes = b
-		}
-	}
-	//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-	for _, b := range bytesOut {
-		if b > maxBytes {
-			maxBytes = b
-		}
-	}
-	if total > 0 {
+	if x.TotalBytes > 0 {
 		ex := d.cfg.ExchangeLatencyCycles +
-			int64(float64(maxBytes)/d.cfg.ExchangeBytesPerCycle)
-		if crossIPUBytes > 0 {
-			ex += int64(float64(crossIPUBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
+			int64(float64(x.MaxPortBytes)/d.cfg.ExchangeBytesPerCycle)
+		if x.CrossBytes > 0 {
+			ex += int64(float64(x.CrossBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
 		}
 		d.stats.ExchangeCycles += ex
-		d.stats.BytesExchanged += total
+		d.stats.BytesExchanged += x.TotalBytes
 	}
 }
 
@@ -409,8 +388,8 @@ func (c Config) TileTime(vertexCycles []int64) int64 {
 }
 
 // TileTimeInto is TileTime with caller-provided per-thread scratch, for
-// hot loops that model the same tile every superstep (see
-// poplar's runTileVertices): threads must have at least ThreadsPerTile
+// hot loops that model the same tile every superstep (see poplar's
+// Engine.runComputeSet): threads must have at least ThreadsPerTile
 // entries and is overwritten.
 func (c Config) TileTimeInto(vertexCycles, threads []int64) int64 {
 	t := c.ThreadsPerTile

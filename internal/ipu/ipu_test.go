@@ -105,9 +105,12 @@ func TestAllocAccounting(t *testing.T) {
 	}
 }
 
+// TestSuperstepChargesSlowestTile: the caller passes the slowest tile's
+// time (C3; see poplar's TestComputeSetChargesSlowestTile) and the
+// compute phase costs exactly that, plus a fixed sync.
 func TestSuperstepChargesSlowestTile(t *testing.T) {
 	d, _ := NewDevice(MK2())
-	d.Superstep(map[int]int64{0: 100, 1: 900, 2: 50}, nil, nil, 0, 3)
+	d.Superstep(900, Exchange{}, 3)
 	s := d.Stats()
 	if s.ComputeCycles != 900 {
 		t.Fatalf("ComputeCycles = %d, want 900 (max tile, C3)", s.ComputeCycles)
@@ -129,9 +132,7 @@ func TestSuperstepExchangeCost(t *testing.T) {
 	// Tile 3 receives 4096 bytes that tiles 5 and 7 send (2048 each):
 	// the phase is gated by the busiest port (tile 3's 4096 in), and
 	// the traffic total counts each byte once (receiver side).
-	in := map[int]int64{3: 4096}
-	out := map[int]int64{5: 2048, 7: 2048}
-	d.Superstep(nil, in, out, 0, 0)
+	d.Superstep(0, Exchange{MaxPortBytes: 4096, TotalBytes: 4096}, 0)
 	s := d.Stats()
 	want := cfg.ExchangeLatencyCycles + int64(4096/cfg.ExchangeBytesPerCycle)
 	if s.ExchangeCycles != want {
@@ -147,9 +148,10 @@ func TestSuperstepCrossIPUIsSlower(t *testing.T) {
 	cfg.IPUs = 2
 	dOn, _ := NewDevice(cfg)
 	dOff, _ := NewDevice(cfg)
-	traffic := map[int]int64{0: 1 << 20}
-	dOn.Superstep(nil, traffic, nil, 0, 0)
-	dOff.Superstep(nil, traffic, nil, 1<<20, 0)
+	traffic := Exchange{MaxPortBytes: 1 << 20, TotalBytes: 1 << 20}
+	dOn.Superstep(0, traffic, 0)
+	traffic.CrossBytes = 1 << 20
+	dOff.Superstep(0, traffic, 0)
 	if dOff.Stats().ExchangeCycles <= dOn.Stats().ExchangeCycles {
 		t.Fatalf("cross-IPU exchange (%d) should cost more than on-chip (%d)",
 			dOff.Stats().ExchangeCycles, dOn.Stats().ExchangeCycles)
@@ -182,7 +184,7 @@ func TestTileTimeBarrelModel(t *testing.T) {
 
 func TestModeledTimeAndReset(t *testing.T) {
 	d, _ := NewDevice(MK2())
-	d.Superstep(map[int]int64{0: 1_325_000_000}, nil, nil, 0, 1) // ~1 s of compute
+	d.Superstep(1_325_000_000, Exchange{}, 1) // ~1 s of compute
 	ms := d.ModeledTime().Milliseconds()
 	if ms < 999 || ms > 1010 {
 		t.Fatalf("ModeledTime ≈ %dms, want ~1000ms", ms)
@@ -208,7 +210,7 @@ func TestChargeSync(t *testing.T) {
 func TestResumeClock(t *testing.T) {
 	d, _ := NewDevice(MK2())
 	d.ResumeClock(Stats{Supersteps: 40, ComputeCycles: 7})
-	d.Superstep(map[int]int64{0: 5}, nil, nil, 0, 1)
+	d.Superstep(5, Exchange{}, 1)
 	if s := d.Stats(); s.Supersteps != 41 || s.ComputeCycles != 12 {
 		t.Fatalf("stats after resume = %+v, want 41 supersteps and 12 compute cycles", s)
 	}

@@ -1,6 +1,10 @@
 package poplar
 
-import "fmt"
+import (
+	"fmt"
+
+	"hunipu/internal/ipu"
+)
 
 // Worker is the execution context handed to a codelet. It accumulates
 // the vertex's modeled work in thread-cycles; helpers encode the cost
@@ -53,25 +57,39 @@ type ComputeSet struct {
 	id       int
 	vertices []*Vertex
 
-	// compiled state (filled by Engine.compile)
-	compiled   bool
-	exchIn     map[int]int64 // per-tile bytes received before compute
-	exchOut    map[int]int64 // per-tile bytes sent
-	crossBytes int64         // traffic crossing chips
-	byTile     map[int][]*Vertex
-	// Per-superstep execution scratch, laid out at compile time so the
-	// hot superstep loop (Engine.runComputeSet) allocates nothing:
-	// tiles is byTile's key set sorted ascending; tileCycles[i] and
-	// tileThreads[i] are the per-vertex-cycle and per-thread scratch of
-	// tiles[i]; timeScratch collects tile times in the fork-join path.
-	// Safe to reuse across runs — a compiled program serializes runs
-	// (see core.CompiledProgram), and within one superstep concurrent
-	// workers touch disjoint tile indices.
-	tiles       []int
-	tileCycles  [][]int64
-	tileThreads [][]int64
-	tileWorkers []Worker
-	timeScratch []int64
+	// compiled state (filled by Engine.compile): the step's exchange,
+	// reduced to the figures a superstep charges, and the vertex
+	// schedule, one entry per tile that runs vertices in ascending tile
+	// order. Laid out once so the superstep loop (Engine.runComputeSet)
+	// reads no map and allocates nothing; safe to reuse across runs
+	// because a compiled program serializes them (see
+	// core.CompiledProgram).
+	compiled bool
+	exchange ipu.Exchange
+	sched    []tileStep
+}
+
+// tileStep is one tile's share of a compute set: its vertices in
+// declaration order and the execution scratch that models its time.
+type tileStep struct {
+	vertices []*Vertex
+	cycles   []int64 // per-vertex work of the current execution
+	threads  []int64 // per-thread scratch for ipu.Config.TileTimeInto
+	// One Worker per tile, not per vertex: &w escapes into the codelet
+	// call, so a loop-local Worker would heap-allocate once per vertex
+	// per superstep.
+	w Worker
+}
+
+// run executes the tile's vertices and returns its modeled compute
+// time.
+func (t *tileStep) run(cfg ipu.Config) int64 {
+	for i, v := range t.vertices {
+		t.w.cycles = 0
+		v.Run(&t.w)
+		t.cycles[i] = t.w.cycles
+	}
+	return cfg.TileTimeInto(t.cycles, t.threads)
 }
 
 // AddComputeSet declares a new, empty compute set.

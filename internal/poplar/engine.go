@@ -3,9 +3,7 @@ package poplar
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"hunipu/internal/ipu"
@@ -13,17 +11,6 @@ import (
 
 // EngineOption configures engine behaviour.
 type EngineOption func(*Engine)
-
-// WithParallelism sets how many OS threads execute vertices of one
-// compute set concurrently (host-side speed only; modeled cycles are
-// identical at any parallelism). Default: runtime.NumCPU().
-func WithParallelism(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.parallel = n
-		}
-	}
-}
 
 // WithMaxSupersteps bounds execution as a runaway-loop backstop: a
 // RepeatWhileTrue whose predicate never clears fails instead of
@@ -65,16 +52,15 @@ type Engine struct {
 	graph    *Graph
 	program  Program
 	dev      *ipu.Device
-	parallel int
 	maxSteps int64
 
 	compiledCS map[int]bool
 	verified   *VerifyReport
 	profile    []CSProfile // indexed by compute-set id; nil unless profiling
 	trace      *traceLog
-	scratch    struct {
-		tileTime map[int]int64
-	}
+	ports      portBytes // compile-time exchange accumulator; empty after NewEngine
+	reads      []Ref     // declared reads of the current step (guard and fault scratch)
+	writes     []Ref     // declared writes of the current step (guard and fault scratch)
 
 	// Recovery state (see recovery.go).
 	ctx          context.Context
@@ -112,14 +98,12 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 		graph:      g,
 		program:    program,
 		dev:        dev,
-		parallel:   runtime.NumCPU(),
 		maxSteps:   1 << 40,
 		compiledCS: map[int]bool{},
 		chips:      g.cfg.IPUs,
 	}
 	e.chipSums = make([]uint64, e.chips)
 	e.strikes = make([]int, e.chips)
-	e.scratch.tileTime = map[int]int64{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -145,9 +129,11 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 			}
 		}
 	}
+	e.ports = portBytes{in: make([]int64, g.cfg.Tiles()), out: make([]int64, g.cfg.Tiles())}
 	if err := program.compile(e); err != nil {
 		return nil, err
 	}
+	e.ports = portBytes{}
 	return e, nil
 }
 
@@ -196,6 +182,26 @@ type access struct {
 	write      bool
 }
 
+// portBytes accumulates one step's per-tile exchange bytes while the
+// step compiles; exchange reduces them to the ipu.Exchange the step
+// charges on every execution and clears them for the next step.
+type portBytes struct {
+	in, out []int64 // bytes received and sent, indexed by tile
+	cross   int64   // bytes crossing chips
+}
+
+func (p *portBytes) exchange() ipu.Exchange {
+	x := ipu.Exchange{CrossBytes: p.cross}
+	for t, b := range p.in {
+		x.TotalBytes += b
+		x.MaxPortBytes = max(x.MaxPortBytes, b, p.out[t])
+	}
+	clear(p.in)
+	clear(p.out)
+	p.cross = 0
+	return x
+}
+
 // compileComputeSet validates the compute set and precomputes its
 // static exchange profile and per-tile vertex schedule.
 func (e *Engine) compileComputeSet(cs *ComputeSet) error {
@@ -204,15 +210,13 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	}
 	e.compiledCS[cs.id] = true
 	cs.compiled = true
-	cs.exchIn = map[int]int64{}
-	cs.exchOut = map[int]int64{}
-	cs.byTile = map[int][]*Vertex{}
 	cfg := e.graph.cfg
 
 	// Vertex validation and race detection live in Verify (see
 	// verify.go), which NewEngine runs before any compilation; this
 	// pass only keeps the structural checks needed when a compute set
 	// is compiled directly in tests, then builds the schedule.
+	byTile := map[int][]*Vertex{}
 	for vi, v := range cs.vertices {
 		if v.Tile < 0 || v.Tile >= cfg.Tiles() {
 			return fmt.Errorf("poplar: compute set %q vertex %d on invalid tile %d", cs.Name, vi, v.Tile)
@@ -230,25 +234,21 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 				return fmt.Errorf("poplar: compute set %q vertex %d: nil tensor ref", cs.Name, vi)
 			}
 		}
-		cs.byTile[v.Tile] = append(cs.byTile[v.Tile], v)
+		byTile[v.Tile] = append(byTile[v.Tile], v)
 	}
-
-	// Lay out the per-superstep execution scratch once: the sorted tile
-	// schedule plus each tile's cycle and thread buffers.
-	tiles := make([]int, 0, len(cs.byTile))
-	for t := range cs.byTile {
+	tiles := make([]int, 0, len(byTile))
+	for t := range byTile {
 		tiles = append(tiles, t)
 	}
 	sort.Ints(tiles)
-	cs.tiles = tiles
-	cs.tileCycles = make([][]int64, len(cs.tiles))
-	cs.tileThreads = make([][]int64, len(cs.tiles))
-	for i, t := range cs.tiles {
-		cs.tileCycles[i] = make([]int64, len(cs.byTile[t]))
-		cs.tileThreads[i] = make([]int64, cfg.ThreadsPerTile)
+	cs.sched = make([]tileStep, len(tiles))
+	for i, t := range tiles {
+		cs.sched[i] = tileStep{
+			vertices: byTile[t],
+			cycles:   make([]int64, len(byTile[t])),
+			threads:  make([]int64, cfg.ThreadsPerTile),
+		}
 	}
-	cs.tileWorkers = make([]Worker, len(cs.tiles))
-	cs.timeScratch = make([]int64, len(cs.tiles))
 
 	// Static exchange profile: any declared slice not resident on the
 	// vertex's tile moves over the fabric. Reads are deduplicated per
@@ -257,6 +257,7 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	// fabric multicasts, which is what makes the column-state
 	// broadcasts of HunIPU's Steps 4 and 6 affordable. Writes are
 	// point-to-point and charged per vertex.
+	p := &e.ports
 	type sliceKey struct {
 		t          *Tensor
 		start, end int
@@ -277,10 +278,10 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 					return
 				}
 				b := int64(eEnd-s) * bytes
-				cs.exchOut[v.Tile] += b
-				cs.exchIn[homeTile] += b
+				p.out[v.Tile] += b
+				p.in[homeTile] += b
 				if cfg.IPUOf(homeTile) != cfg.IPUOf(v.Tile) {
-					cs.crossBytes += b
+					p.cross += b
 				}
 			})
 		}
@@ -317,62 +318,35 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 				if tile == homeTile {
 					continue
 				}
-				cs.exchIn[tile] += b
+				p.in[tile] += b
 				sent = true
 				if cfg.IPUOf(homeTile) != cfg.IPUOf(tile) && !crossed {
 					// One multicast crosses the IPU link once.
-					cs.crossBytes += b
+					p.cross += b
 					crossed = true
 				}
 			}
 			if sent {
-				cs.exchOut[homeTile] += b
+				p.out[homeTile] += b
 			}
 		})
 	}
+	cs.exchange = p.exchange()
 	return nil
 }
 
-// runComputeSet executes every vertex and charges one BSP superstep.
-// It runs once per superstep per solve — the hottest loop in the
-// engine — so hunipulint audits it and everything it reaches for
-// per-execution allocation churn.
+// runComputeSet executes every vertex, tile by tile, and charges one
+// BSP superstep for the slowest tile. It runs once per superstep per
+// solve — the hottest loop in the engine — so hunipulint audits it and
+// everything it reaches for per-execution allocation churn.
 //
 //hunipulint:hotpath
 func (e *Engine) runComputeSet(cs *ComputeSet) error {
-	tileTime := e.scratch.tileTime
-	clear(tileTime)
 	cfg := e.graph.cfg
-	tiles := cs.tiles
-
-	if e.parallel <= 1 || len(cs.vertices) < 128 {
-		for i, t := range tiles {
-			tileTime[t] = runTileVertices(cfg, cs, i)
-		}
-	} else {
-		times := cs.timeScratch
-		var wg sync.WaitGroup
-		chunk := (len(tiles) + e.parallel - 1) / e.parallel
-		for lo := 0; lo < len(tiles); lo += chunk {
-			hi := lo + chunk
-			if hi > len(tiles) {
-				hi = len(tiles)
-			}
-			wg.Add(1)
-			//hunipulint:ignore hotalloc fork-join launch: one closure per worker chunk, amortized over the whole superstep
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					times[i] = runTileVertices(cfg, cs, i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		for i, t := range tiles {
-			tileTime[t] = times[i]
-		}
+	var compute int64
+	for i := range cs.sched {
+		compute = max(compute, cs.sched[i].run(cfg))
 	}
-
 	var start int64
 	if e.trace != nil {
 		start = e.dev.Stats().TotalCycles()
@@ -380,39 +354,12 @@ func (e *Engine) runComputeSet(cs *ComputeSet) error {
 	if e.profile != nil {
 		p := &e.profile[cs.id]
 		p.Executions++
-		var max int64
-		//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-		for _, t := range tileTime {
-			if t > max {
-				max = t
-			}
-		}
-		p.ComputeCycles += max
+		p.ComputeCycles += compute
 		p.Vertices += int64(len(cs.vertices))
 	}
-	e.dev.Superstep(tileTime, cs.exchIn, cs.exchOut, cs.crossBytes, int64(len(cs.vertices)))
+	e.dev.Superstep(compute, cs.exchange, int64(len(cs.vertices)))
 	if e.trace != nil {
 		e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))
 	}
 	return e.checkBudget()
-}
-
-// runTileVertices executes the vertices of the idx-th scheduled tile
-// and returns that tile's modeled compute time. A top-level function
-// (not a closure) using compile-time scratch (cs.tileCycles,
-// cs.tileThreads) so the hot superstep loop allocates nothing to call
-// it.
-func runTileVertices(cfg ipu.Config, cs *ComputeSet, idx int) int64 {
-	vs := cs.byTile[cs.tiles[idx]]
-	cycles := cs.tileCycles[idx]
-	// One Worker per tile, not per vertex: &w escapes into the codelet
-	// call, so a loop-local Worker would heap-allocate once per vertex
-	// per superstep — the single largest allocation site in a solve.
-	w := &cs.tileWorkers[idx]
-	for i, v := range vs {
-		w.cycles = 0
-		v.Run(w)
-		cycles[i] = w.cycles
-	}
-	return cfg.TileTimeInto(cycles, cs.tileThreads[idx])
 }

@@ -552,10 +552,10 @@ func TestFill(t *testing.T) {
 	}
 }
 
-// Determinism: the same graph run on two devices yields identical data
-// and identical cycle counts regardless of engine parallelism.
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	build := func(par int) (int64, []float64) {
+// Determinism: the same graph built and run twice, on two devices,
+// yields identical data and identical cycle counts.
+func TestDeterminismAcrossEngines(t *testing.T) {
+	build := func() (int64, float64) {
 		cfg := smallCfg()
 		g := NewGraph(cfg)
 		x := g.AddVariable("x", Float, 256)
@@ -564,22 +564,22 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 		g.MapAllTo(out, 0)
 		prog := Sequence(Fill(g, x, 3, "f"), Reduce(g, x, out, ReduceSum, "r"))
 		dev, _ := ipu.NewDevice(cfg)
-		eng, err := NewEngine(g, prog, dev, WithParallelism(par))
+		eng, err := NewEngine(g, prog, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return dev.Stats().TotalCycles(), []float64{out.ScalarValue()}
+		return dev.Stats().TotalCycles(), out.ScalarValue()
 	}
-	c1, d1 := build(1)
-	c8, d8 := build(8)
-	if c1 != c8 {
-		t.Fatalf("cycles differ across parallelism: %d vs %d", c1, c8)
+	c1, d1 := build()
+	c2, d2 := build()
+	if c1 != c2 {
+		t.Fatalf("cycles differ across engines: %d vs %d", c1, c2)
 	}
-	if d1[0] != d8[0] || d1[0] != 768 {
-		t.Fatalf("data differs: %v vs %v", d1, d8)
+	if d1 != d2 || d1 != 768 {
+		t.Fatalf("data differs: %g vs %g, want 768", d1, d2)
 	}
 }
 
@@ -946,49 +946,48 @@ func TestCompileErrorPaths(t *testing.T) {
 	}
 }
 
-// TestParallelExecutionPath exercises the goroutine fan-out branch of
-// runComputeSet (≥128 vertices) and checks it matches serial execution.
-func TestParallelExecutionPath(t *testing.T) {
-	build := func(par int) (int64, float64) {
-		cfg := smallCfg()
-		g := NewGraph(cfg)
-		x := g.AddVariable("x", Float, 300)
-		g.MapLinearly(x)
-		cs := g.AddComputeSet("many")
-		for _, r := range x.MappingRegions() {
-			for e := r.Start; e < r.End; e++ {
-				ref := x.Index(e)
-				val := float64(e)
-				cs.AddVertex(r.Tile, func(w *Worker) {
-					ref.Data()[0] = val
-					w.Charge(1)
-				}).Writes(ref)
-			}
+// TestComputeSetChargesSlowestTile: a compute set with many vertices
+// per tile runs every vertex exactly once, and its superstep's compute
+// phase costs the slowest tile's time (C3), not the sum over tiles.
+func TestComputeSetChargesSlowestTile(t *testing.T) {
+	cfg := smallCfg()
+	g := NewGraph(cfg)
+	x := g.AddVariable("x", Float, 300)
+	g.MapLinearly(x)
+	cs := g.AddComputeSet("many")
+	var want int64
+	for _, r := range x.MappingRegions() {
+		// Tile k's vertices each cost k+1 cycles.
+		work := int64(r.Tile + 1)
+		cycles := make([]int64, 0, r.End-r.Start)
+		for e := r.Start; e < r.End; e++ {
+			ref := x.Index(e)
+			val := float64(e)
+			cs.AddVertex(r.Tile, func(w *Worker) {
+				ref.Data()[0] = val
+				w.Charge(work)
+			}).Writes(ref)
+			cycles = append(cycles, work)
 		}
-		if cs.NumVertices() < 128 {
-			t.Fatalf("need ≥128 vertices, have %d", cs.NumVertices())
-		}
-		dev, _ := ipu.NewDevice(cfg)
-		eng, err := NewEngine(g, Execute(cs), dev, WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		sum := 0.0
-		for _, v := range x.HostRead() {
-			sum += v
-		}
-		return dev.Stats().TotalCycles(), sum
+		want = max(want, cfg.TileTime(cycles))
 	}
-	c1, s1 := build(1)
-	c4, s4 := build(4)
-	if c1 != c4 || s1 != s4 {
-		t.Fatalf("parallel path diverged: cycles %d vs %d, sum %g vs %g", c1, c4, s1, s4)
+	dev := newDev(t, cfg)
+	eng, err := NewEngine(g, Execute(cs), dev)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s1 != 300.0*299/2 {
-		t.Fatalf("sum = %g", s1)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range x.HostRead() {
+		sum += v
+	}
+	if sum != 300.0*299/2 {
+		t.Fatalf("sum = %g, want %g", sum, 300.0*299/2)
+	}
+	if got := dev.Stats().ComputeCycles; got != want {
+		t.Fatalf("ComputeCycles = %d, want the slowest tile's %d", got, want)
 	}
 }
 

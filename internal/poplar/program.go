@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hunipu/internal/faultinject"
+	"hunipu/internal/ipu"
 )
 
 // Program is a node of the static control-flow tree executed by the
@@ -59,20 +60,21 @@ func (p *execProg) exec(e *Engine) error {
 		return err
 	}
 	fe := e.dev.CheckFault(p.cs.Name, faultinject.KindSuperstep)
-	if fe != nil && !fe.Silent() {
-		var writes []Ref
-		for _, v := range p.cs.vertices {
-			writes = append(writes, v.writes...)
-		}
-		e.applyFaultEffect(fe, writes)
-		return fe
-	}
 	var reads, writes []Ref
 	if fe != nil || e.guard != GuardOff {
+		// Gathered into the engine's scratch pair, so a guarded or
+		// faulted superstep allocates nothing once the pair has grown to
+		// the largest step.
+		reads, writes = e.reads[:0], e.writes[:0]
 		for _, v := range p.cs.vertices {
 			reads = append(reads, v.reads...)
 			writes = append(writes, v.writes...)
 		}
+		e.reads, e.writes = reads, writes
+	}
+	if fe != nil && !fe.Silent() {
+		e.applyFaultEffect(fe, writes)
+		return fe
 	}
 	if fe != nil && e.applySilentFault(fe, reads, writes) {
 		// Stale read: the step's writes are silently dropped, but the
@@ -80,7 +82,7 @@ func (p *execProg) exec(e *Engine) error {
 		// maintenance runs — no bytes changed, so the guard's checksums
 		// stay consistent by construction; only invariant probes or final
 		// attestation can see the missing update.
-		e.dev.Superstep(nil, p.cs.exchIn, p.cs.exchOut, p.cs.crossBytes, int64(len(p.cs.vertices)))
+		e.dev.Superstep(0, p.cs.exchange, int64(len(p.cs.vertices)))
 		if err := e.checkBudget(); err != nil {
 			return err
 		}
@@ -229,9 +231,8 @@ func Copy(src, dst Ref) Program { return &copyProg{src: src, dst: dst} }
 type copyProg struct {
 	src, dst Ref
 
-	in, out map[int]int64
-	cross   int64
-	ready   bool
+	exchange ipu.Exchange
+	ready    bool
 }
 
 func (p *copyProg) compile(e *Engine) error {
@@ -242,9 +243,7 @@ func (p *copyProg) compile(e *Engine) error {
 	if p.ready {
 		return nil
 	}
-	p.in = map[int]int64{}
-	p.out = map[int]int64{}
-	cfg := e.graph.cfg
+	cfg, ports := e.graph.cfg, &e.ports
 	bytes := int64(p.dst.T.DType.DeviceBytes())
 	// Walk both refs' region decompositions in lockstep.
 	off := 0
@@ -255,10 +254,10 @@ func (p *copyProg) compile(e *Engine) error {
 			p.dst.T.regionsIn(segStart, segStart+chunk, func(ds, de, dstTile int) {
 				n := int64(de - ds)
 				if srcTile != dstTile {
-					p.out[srcTile] += n * bytes
-					p.in[dstTile] += n * bytes
+					ports.out[srcTile] += n * bytes
+					ports.in[dstTile] += n * bytes
 					if cfg.IPUOf(srcTile) != cfg.IPUOf(dstTile) {
-						p.cross += n * bytes
+						ports.cross += n * bytes
 					}
 				}
 			})
@@ -266,6 +265,7 @@ func (p *copyProg) compile(e *Engine) error {
 			off += chunk
 		}
 	})
+	p.exchange = ports.exchange()
 	p.ready = true
 	return nil
 }
@@ -284,7 +284,7 @@ func (p *copyProg) exec(e *Engine) error {
 	}
 	if fe != nil && e.applySilentFault(fe, []Ref{p.src}, []Ref{p.dst}) {
 		// Stale read: the copy silently does not land; cost still accrues.
-		e.dev.Superstep(nil, p.in, p.out, p.cross, 0)
+		e.dev.Superstep(0, p.exchange, 0)
 		if err := e.checkBudget(); err != nil {
 			return err
 		}
@@ -296,7 +296,7 @@ func (p *copyProg) exec(e *Engine) error {
 	if fe != nil {
 		e.applyLateSilentFault(fe, []Ref{p.dst})
 	}
-	e.dev.Superstep(nil, p.in, p.out, p.cross, 0)
+	e.dev.Superstep(0, p.exchange, 0)
 	if err := e.checkBudget(); err != nil {
 		return err
 	}

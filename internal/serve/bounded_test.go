@@ -149,6 +149,37 @@ func TestBrownoutServesPreviouslyShedRequest(t *testing.T) {
 	}
 }
 
+// TestBrownoutPricesFirstAvailableDevice: admission prices a request on
+// the device the worker will try first, not on the cheapest device in
+// the ladder. The IPU has learned a slow coefficient (exact n=16 ≈
+// 25.6s, bounded ≈ 6.4s) while the CPU has never served and still sits
+// at the 50ns/cell seed; a 10s deadline must brown the request out to
+// the bounded tier on the IPU rather than admit it exact on the CPU's
+// estimate.
+func TestBrownoutPricesFirstAvailableDevice(t *testing.T) {
+	s := newTestServer(t, Config{
+		Devices:       []hunipu.Device{hunipu.DeviceIPU, hunipu.DeviceCPU},
+		Workers:       1,
+		BrownoutTiers: []float64{0.05},
+	})
+	s.model.Observe(hunipu.DeviceIPU, 16, 25600*time.Millisecond, false)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := s.Submit(ctx, Request{Costs: testCosts(16, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Quality.IsBounded() || res.Quality.Epsilon() != 0.05 {
+		t.Fatalf("served quality %v, want bounded(0.05) — exact does not fit on the IPU", res.Quality)
+	}
+	if res.Device != hunipu.DeviceIPU {
+		t.Fatalf("served on %v, want the first available device, IPU", res.Device)
+	}
+	if got := s.Metrics().Brownouts.Load(); got != 1 {
+		t.Fatalf("Brownouts = %d, want 1", got)
+	}
+}
+
 // TestBoundedRequestHonoured: a client that *asks* for Bounded(ε) gets
 // exactly that tier when the deadline allows, with no brownout counted.
 func TestBoundedRequestHonoured(t *testing.T) {

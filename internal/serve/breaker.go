@@ -183,8 +183,8 @@ func (b *breaker) acquire() (ok, probe bool) {
 }
 
 // available reports whether acquire could currently succeed — used by
-// admission to pick the cheapest viable device without claiming the
-// canary slot.
+// admission to price the first device in ladder order that will take
+// the request, without claiming the canary slot.
 func (b *breaker) available() bool {
 	now := b.now()
 	b.mu.Lock()

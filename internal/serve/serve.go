@@ -290,19 +290,18 @@ func (s *Server) Ready() bool {
 	return false
 }
 
-// cheapestEstimate is the lowest modeled solve time across devices
-// the breakers would currently admit, at the given quality tier.
-func (s *Server) cheapestEstimate(n int, bounded bool) (time.Duration, bool) {
-	best, found := time.Duration(0), false
+// firstAvailableEstimate is the modeled solve time, at the given
+// quality tier, on the device the worker will try first: the first
+// device in ladder order whose breaker admits traffic. Pricing any
+// other device (say the cheapest) would admit requests on the estimate
+// of a device that never serves them.
+func (s *Server) firstAvailableEstimate(n int, bounded bool) (time.Duration, bool) {
 	for _, d := range s.cfg.Devices {
-		if !s.breakers[d].available() {
-			continue
-		}
-		if est := s.model.Estimate(d, n, bounded); !found || est < best {
-			best, found = est, true
+		if s.breakers[d].available() {
+			return s.model.Estimate(d, n, bounded), true
 		}
 	}
-	return best, found
+	return 0, false
 }
 
 // qualityLadder lists the tiers a request may be served at, strictest
@@ -336,7 +335,7 @@ func (s *Server) chooseQuality(req hunipu.Quality, n int, remaining time.Duratio
 		return ladder[start], true
 	}
 	for _, q := range ladder[start:] {
-		est, avail := s.cheapestEstimate(n, q.IsBounded() && q.Epsilon() > 0)
+		est, avail := s.firstAvailableEstimate(n, q.IsBounded() && q.Epsilon() > 0)
 		if avail && est <= remaining {
 			return q, true
 		}
@@ -370,7 +369,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*hunipu.Result, error
 		remaining := deadline.Sub(s.cfg.Now())
 		ladder := s.qualityLadder(req.Quality)
 		loosest := ladder[len(ladder)-1]
-		est, avail := s.cheapestEstimate(n, loosest.IsBounded() && loosest.Epsilon() > 0)
+		est, avail := s.firstAvailableEstimate(n, loosest.IsBounded() && loosest.Epsilon() > 0)
 		if !avail {
 			s.metrics.ShedNoDevice.Add(1)
 			return nil, ErrNoDevice
