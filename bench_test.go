@@ -7,6 +7,7 @@ package hunipu
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hunipu/internal/bench"
@@ -224,13 +225,24 @@ func BenchmarkSolverZoo(b *testing.B) {
 // schedule and timing slices. Before the engine gathered a guarded
 // step's declared reads and writes into one reusable scratch pair, a
 // warm guarded solve allocated ~18k. With both, a warm solve allocates
-// well under a thousand objects, guarded or not.
+// well under a thousand objects, guarded or not. Before checkpoints
+// copied only dirty tensors into buffers kept by the engine, a warm
+// recovery-armed solve allocated ~780 KB; now every case stays near the
+// 32 KB its input clone costs.
 func TestWarmSolveAllocBudget(t *testing.T) {
-	for _, guard := range []poplar.GuardPolicy{poplar.GuardOff, poplar.GuardChecksums} {
-		t.Run(guard.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    core.Options
+	}{
+		{"off", core.Options{}},
+		{"checksums", core.Options{Guard: poplar.GuardChecksums}},
+		{"recovery", core.Options{MaxRetries: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := ipu.MK2()
 			cfg.TilesPerIPU = 64
-			s, err := core.New(core.Options{Config: cfg, Guard: guard})
+			tc.o.Config = cfg
+			s, err := core.New(tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,16 +255,34 @@ func TestWarmSolveAllocBudget(t *testing.T) {
 			if _, err := s.Solve(m.Clone()); err != nil {
 				t.Fatal(err)
 			}
-			avg := testing.AllocsPerRun(3, func() {
+			objects, bytes := allocsPerRun(3, func() {
 				if _, err := s.Solve(m.Clone()); err != nil {
 					t.Fatal(err)
 				}
 			})
-			const budget = 2000
-			if avg > budget {
-				t.Fatalf("warm n=64 solve allocates %.0f objects, budget %d — per-superstep scratch reuse has regressed", avg, budget)
+			const budget, byteBudget = 2000, 128 << 10
+			if objects > budget {
+				t.Fatalf("warm n=64 solve allocates %.0f objects, budget %d — per-superstep scratch reuse has regressed", objects, budget)
 			}
-			t.Logf("warm n=64 solve: %.0f allocs (budget %d, pre-scratch baseline ~440000)", avg, budget)
+			if bytes > byteBudget {
+				t.Fatalf("warm n=64 solve allocates %.0f bytes, budget %d — checkpoint buffer reuse has regressed", bytes, byteBudget)
+			}
+			t.Logf("warm n=64 solve: %.0f allocs, %.0f bytes (budgets %d, %d; pre-scratch baseline ~440000 allocs)", objects, bytes, budget, byteBudget)
 		})
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes as well: the
+// mean heap objects and bytes one call of f allocates, after one
+// warm-up call, measured with GOMAXPROCS 1.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -57,6 +57,9 @@ func (c *config) solveBounded(ctx context.Context, d Device, m *lsap.Matrix, pri
 			att.Faults = firedCount(inj) - before
 			if err == nil {
 				sol, modeled = r.Solution, r.Modeled
+				att.Retries = r.Recovery.Retries
+				att.CheckpointsSaved = r.Recovery.CheckpointsSaved
+				att.CheckpointsRestored = r.Recovery.CheckpointsRestored
 			}
 		}
 	case DeviceGPU:

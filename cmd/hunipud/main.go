@@ -107,7 +107,7 @@ func parseFlags() *flags {
 	flag.StringVar(&f.guard, "guard", "off", "silent-corruption guard policy on IPU solves: off, checksums, invariants, paranoid")
 	flag.StringVar(&f.faultsIPU, "faults-ipu", "", "shared fault schedule injected on the IPU (chaos drills)")
 	flag.StringVar(&f.faultsGPU, "faults-gpu", "", "shared fault schedule injected on the GPU (chaos drills)")
-	flag.IntVar(&f.progcache, "progcache", hunipu.DefaultProgramCacheCapacity, "compiled-program cache capacity in shapes (0 = disable caching; every solve recompiles)")
+	flag.IntVar(&f.progcache, "progcache", hunipu.DefaultProgramCacheCapacity, "compiled-program cache capacity in shapes, for HunIPU and the IPU auction each (0 = disable caching; every solve recompiles)")
 	flag.IntVar(&f.shards, "shards", 0, "run IPU solves sharded over this many simulated chips; survives chip loss by re-sharding (0 = single device)")
 	flag.IntVar(&f.minFabric, "min-fabric", 0, "smallest fabric a sharded solve may continue on after chip losses (0 = 1; requires -shards)")
 	flag.StringVar(&f.quality, "quality", "exact", "default quality tier for requests that send none: exact or bounded(ε), e.g. bounded(0.05)")

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"hunipu"
 	"hunipu/internal/poplar"
 )
 
@@ -50,6 +51,9 @@ func TestCompiledGraphsPassStaticVerification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A program cached by an earlier test would skip the compile
+			// this test inspects.
+			hunipu.ClearProgramCache()
 			before := len(seen)
 			if _, err := s.Solve(m.Clone()); err != nil {
 				t.Fatalf("%s failed to solve: %v", e.Name, err)

@@ -193,7 +193,7 @@ func (s *Solver) runFabric(ctx context.Context, c *lsap.Matrix, cp *CompiledProg
 			}
 		}
 		lost |= 1 << chip
-		next, _, aerr := s.cache.acquire(s.keyFor(c.N, lost), func() (*CompiledProgram, error) {
+		next, _, aerr := s.cache.Acquire(s.keyFor(c.N, lost), func() (*CompiledProgram, error) {
 			return s.compileProgram(c.N, lost)
 		})
 		if aerr != nil {

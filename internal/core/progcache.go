@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"reflect"
 	"sync"
@@ -19,9 +18,10 @@ import (
 // bounded LRU of those artefacts with memoized single-flight
 // construction: N concurrent solves of the same shape compile exactly
 // once, and every later same-shape solve pays only data upload, run,
-// and readback. Per-solve (instance) state — input tensors, checkpoint
-// rings, guard copies, recovery reports — is reset around every run so
-// a cached program survives faults and stays reusable.
+// and readback. Per-solve (instance) state — input tensors, guard
+// copies, recovery reports — is reset around every run so a cached
+// program survives faults and stays reusable; its engine keeps the
+// checkpoint buffers for the next run.
 
 // programKey is the compile fingerprint: every Options field that
 // changes the constructed graph, the compiled engine, or the bound
@@ -101,68 +101,19 @@ type CompiledProgram struct {
 	dirty bool
 }
 
-// footprintBytes estimates the host-side bytes the program pins while
-// cached (tensor backing arrays; the float64 simulator width, not the
-// modeled device width). Used by heap-retention tests and reports.
-func (cp *CompiledProgram) footprintBytes() int64 {
-	n := int64(cp.key.n)
-	// slack + compress + sortCompress dominate at n×n each.
-	return 3 * n * n * 8
+// ProgramCache is HunIPU's instance of the shared single-flight LRU
+// (poplar.ProgramCache), keyed by compile fingerprint. It embeds the
+// generic cache instead of aliasing it because the key refers back to
+// Solver, which holds the cache.
+type ProgramCache struct {
+	*poplar.ProgramCache[programKey, *CompiledProgram]
 }
 
 // CacheStats is a point-in-time snapshot of ProgramCache counters.
-type CacheStats struct {
-	// Hits counts acquisitions served by an already-compiled program,
-	// including those that waited on another solve's in-flight build
-	// (they still skipped construction themselves).
-	Hits int64
-	// Misses counts acquisitions that found no entry and started (or
-	// bypassed, with caching disabled) a build.
-	Misses int64
-	// Evictions counts programs dropped by the LRU bound or SetCapacity.
-	Evictions int64
-	// Builds counts graph construction + verification + compilation
-	// runs — the single-flight invariant is Builds ≤ Misses, with
-	// equality when no build ever failed.
-	Builds int64
-	// InFlight is the number of builds currently running.
-	InFlight int64
-	// Entries is the number of programs currently cached.
-	Entries int64
-	// Capacity is the LRU bound (0 = caching disabled).
-	Capacity int64
-}
+type CacheStats = poplar.CacheStats
 
-// cacheEntry is one key's slot, created before its build starts so
-// concurrent same-key solves wait on ready instead of compiling again.
-type cacheEntry struct {
-	key   programKey
-	ready chan struct{} // closed when prog/err are final
-	prog  *CompiledProgram
-	err   error
-	elem  *list.Element // position in the LRU list (nil once evicted)
-}
-
-// ProgramCache is a bounded LRU of compiled programs with single-flight
-// construction. The zero value is unusable; create with NewProgramCache.
-// All methods are safe for concurrent use.
-type ProgramCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[programKey]*cacheEntry
-	lru      *list.List // front = most recently used; values are *cacheEntry
-
-	hits      int64
-	misses    int64
-	evictions int64
-	builds    int64
-	inflight  int64
-}
-
-// DefaultCacheCapacity bounds the process-wide default cache: enough
-// for a daemon's repertoire of hot shapes while capping host memory
-// (a cached n=512 program pins ~6 MB of tensor backing).
-const DefaultCacheCapacity = 16
+// DefaultCacheCapacity bounds the process-wide default cache.
+const DefaultCacheCapacity = poplar.DefaultCacheCapacity
 
 // defaultCache is the process-wide cache hunipu.Solve warms across
 // calls. Tests wanting isolation pass Options.Cache.
@@ -175,139 +126,7 @@ func DefaultCache() *ProgramCache { return defaultCache }
 // Capacity ≤ 0 disables caching: every acquisition builds an ephemeral
 // program that is dropped after the solve.
 func NewProgramCache(capacity int) *ProgramCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &ProgramCache{
-		capacity: capacity,
-		entries:  map[programKey]*cacheEntry{},
-		lru:      list.New(),
-	}
-}
-
-// Stats snapshots the counters.
-func (pc *ProgramCache) Stats() CacheStats {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return CacheStats{
-		Hits:      pc.hits,
-		Misses:    pc.misses,
-		Evictions: pc.evictions,
-		Builds:    pc.builds,
-		InFlight:  pc.inflight,
-		Entries:   int64(len(pc.entries)),
-		Capacity:  int64(pc.capacity),
-	}
-}
-
-// SetCapacity rebounds the cache, evicting least-recently-used
-// programs that no longer fit. Capacity ≤ 0 disables caching and
-// evicts everything.
-func (pc *ProgramCache) SetCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.capacity = capacity
-	pc.evictOverflowLocked()
-}
-
-// Clear evicts every cached program (counted as evictions).
-func (pc *ProgramCache) Clear() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	for pc.lru.Len() > 0 {
-		pc.evictBackLocked()
-	}
-}
-
-// Len returns the number of cached programs.
-func (pc *ProgramCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries)
-}
-
-// evictOverflowLocked drops LRU entries until the bound holds.
-func (pc *ProgramCache) evictOverflowLocked() {
-	for pc.lru.Len() > pc.capacity && pc.lru.Len() > 0 {
-		pc.evictBackLocked()
-	}
-}
-
-// evictBackLocked removes the least-recently-used entry. A solve
-// holding the evicted program keeps running against its own reference;
-// eviction only drops the cache's, so the GC reclaims the tensors once
-// in-flight users finish.
-func (pc *ProgramCache) evictBackLocked() {
-	back := pc.lru.Back()
-	if back == nil {
-		return
-	}
-	ent := back.Value.(*cacheEntry)
-	pc.lru.Remove(back)
-	ent.elem = nil
-	delete(pc.entries, ent.key)
-	pc.evictions++
-}
-
-// acquire returns the compiled program for key, building it with build
-// exactly once per cache residency no matter how many goroutines ask
-// concurrently (memoized single-flight). The second return reports
-// whether THIS call ran the build. Build failures are not cached: the
-// failing entry is removed so a later solve retries, and every waiter
-// of the failed flight observes the same error.
-func (pc *ProgramCache) acquire(key programKey, build func() (*CompiledProgram, error)) (*CompiledProgram, bool, error) {
-	if pc == nil || pc.capacity <= 0 {
-		// Caching disabled: ephemeral build per solve.
-		if pc != nil {
-			pc.mu.Lock()
-			pc.misses++
-			pc.builds++
-			pc.inflight++
-			pc.mu.Unlock()
-			defer func() {
-				pc.mu.Lock()
-				pc.inflight--
-				pc.mu.Unlock()
-			}()
-		}
-		cp, err := build()
-		return cp, true, err
-	}
-
-	pc.mu.Lock()
-	if ent, ok := pc.entries[key]; ok {
-		pc.hits++
-		if ent.elem != nil {
-			pc.lru.MoveToFront(ent.elem)
-		}
-		pc.mu.Unlock()
-		<-ent.ready
-		return ent.prog, false, ent.err
-	}
-	ent := &cacheEntry{key: key, ready: make(chan struct{})}
-	ent.elem = pc.lru.PushFront(ent)
-	pc.entries[key] = ent
-	pc.misses++
-	pc.builds++
-	pc.inflight++
-	pc.evictOverflowLocked()
-	pc.mu.Unlock()
-
-	ent.prog, ent.err = build()
-	pc.mu.Lock()
-	pc.inflight--
-	if ent.err != nil && ent.elem != nil {
-		// Do not memoize failures; the entry may already be evicted.
-		pc.lru.Remove(ent.elem)
-		ent.elem = nil
-		delete(pc.entries, ent.key)
-	}
-	pc.mu.Unlock()
-	close(ent.ready)
-	return ent.prog, true, ent.err
+	return &ProgramCache{poplar.NewProgramCache[programKey, *CompiledProgram](capacity)}
 }
 
 // keyFor derives the solver's compile fingerprint for an n×n problem

@@ -267,7 +267,7 @@ func TestGuardInputReleasedAfterSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	certifyOptimal(t, m, r.Solution)
-	cp, _, err := pc.acquire(s.keyFor(m.N, 0), func() (*CompiledProgram, error) {
+	cp, _, err := pc.Acquire(s.keyFor(m.N, 0), func() (*CompiledProgram, error) {
 		t.Fatal("unexpected rebuild")
 		return nil, nil
 	})
@@ -352,14 +352,14 @@ func TestCacheBuildFailureNotMemoized(t *testing.T) {
 		}
 		return &CompiledProgram{key: key}, nil
 	}
-	if _, _, err := pc.acquire(key, build); err == nil {
+	if _, _, err := pc.Acquire(key, build); err == nil {
 		t.Fatal("failed build returned no error")
 	}
 	if pc.Len() != 0 {
 		t.Fatalf("failed build left %d cache entries", pc.Len())
 	}
 	fail = false
-	cp, built, err := pc.acquire(key, build)
+	cp, built, err := pc.Acquire(key, build)
 	if err != nil || cp == nil || !built {
 		t.Fatalf("retry after failed build: cp=%v built=%v err=%v", cp, built, err)
 	}

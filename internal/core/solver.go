@@ -134,7 +134,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	}
 
 	compileStart := time.Now()
-	cp, built, err := s.cache.acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
+	cp, built, err := s.cache.Acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
 		return s.compileProgram(n, 0)
 	})
 	if err != nil {

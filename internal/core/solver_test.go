@@ -629,7 +629,7 @@ func TestInvariantsHoldOnRandomSolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d n=%d: %v", trial, n, err)
 		}
-		cp, built, err := s.cache.acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
+		cp, built, err := s.cache.Acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
 			return nil, fmt.Errorf("no cached program for n=%d", n)
 		})
 		if err != nil || built {

@@ -3,6 +3,7 @@ package ipuauction
 import (
 	"math"
 
+	"hunipu/internal/ipu"
 	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
 )
@@ -12,10 +13,8 @@ import (
 // ownership in column segments, bids row-aligned, and the ε-scaling
 // state on a utility tile.
 type auctionBuilder struct {
-	o           Options
 	g           *poplar.Graph
 	n           int
-	epsMin      float64
 	rowsPerTile int
 	numBlocks   int
 	utilTile    int
@@ -32,13 +31,14 @@ type auctionBuilder struct {
 	eps     *poplar.Tensor // Float scalar
 	phaseGo *poplar.Tensor // Bool scalar
 	roundGo *poplar.Tensor // Bool scalar
+	epsMin  *poplar.Tensor // Float scalar: the ε floor, set by the host
 }
 
 // newAuctionBuilder lays out an n×n auction (n ≥ 1) over ⌈n/tiles⌉
 // rows per tile, so the row blocks always fit the device's tiles.
-func newAuctionBuilder(o Options, n int, epsMin float64) *auctionBuilder {
-	b := &auctionBuilder{o: o, g: poplar.NewGraph(o.Config), n: n, epsMin: epsMin}
-	tiles := o.Config.Tiles()
+func newAuctionBuilder(cfg ipu.Config, n int) *auctionBuilder {
+	b := &auctionBuilder{g: poplar.NewGraph(cfg), n: n}
+	tiles := cfg.Tiles()
 	b.rowsPerTile = (n + tiles - 1) / tiles
 	b.numBlocks = (n + b.rowsPerTile - 1) / b.rowsPerTile
 	b.utilTile = tiles - 1
@@ -85,6 +85,7 @@ func newAuctionBuilder(o Options, n int, epsMin float64) *auctionBuilder {
 		{&b.eps, "eps", poplar.Float},
 		{&b.phaseGo, "phase_go", poplar.Bool},
 		{&b.roundGo, "round_go", poplar.Bool},
+		{&b.epsMin, "eps_min", poplar.Float},
 	} {
 		*v.t = g.AddVariable(v.nm, v.dt, 1)
 		g.MapAllTo(*v.t, b.utilTile)
@@ -238,19 +239,19 @@ func (b *auctionBuilder) program() poplar.Program {
 		}, nil, []*poplar.Tensor{b.roundGo}),
 	)
 
-	// The ε floor is chosen host-side: 1/(n+1) for exactness on integer
-	// matrices, Epsilon/n for a bounded-quality target (see
-	// Options.Epsilon) — the early-termination knob of the degradation
-	// ladder.
-	epsMin := b.epsMin
+	// The ε floor is chosen host-side and set before each run: 1/(n+1)
+	// for exactness on integer matrices, Epsilon/n for a bounded-quality
+	// target (see Options.Epsilon) — the early-termination knob of the
+	// degradation ladder. It lives on the utility tile, next to this
+	// vertex, so reading it moves no bytes.
 	epsCheck := b.scalarStep("auc_epscheck", func(get func(int) float64, set func(int, float64)) {
 		e := get(0)
-		if e < epsMin {
+		if e < get(1) {
 			set(1, 0) // phaseGo off: the sub-floor phase just ran
 		} else {
 			set(0, e/lsap.AuctionEpsScale)
 		}
-	}, []*poplar.Tensor{b.eps}, []*poplar.Tensor{b.eps, b.phaseGo})
+	}, []*poplar.Tensor{b.eps, b.epsMin}, []*poplar.Tensor{b.eps, b.phaseGo})
 
 	round := poplar.Sequence(poplar.Execute(bcastCS), poplar.Execute(bidCS), poplar.Execute(resolveCS))
 	phase := poplar.Sequence(resetPhase, poplar.RepeatWhileTrue(b.roundGo, round), epsCheck)

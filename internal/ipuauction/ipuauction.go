@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"time"
 
 	"hunipu/internal/faultinject"
@@ -85,6 +87,9 @@ type Result struct {
 	Solution *lsap.Solution
 	Stats    ipu.Stats
 	Modeled  time.Duration
+	// Recovery reports what fault recovery did, summed over the runs
+	// of the solve (a failed certificate re-runs at a tighter floor).
+	Recovery poplar.RunReport
 }
 
 // Solve implements lsap.Solver.
@@ -128,7 +133,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	// the sum of row minima, a cheap lower bound on the optimum that the
 	// dual bound tracks — lands the normalized gap near Epsilon. The
 	// floor is only an early-termination heuristic: certification below
-	// decides, and a failed certificate rebuilds with a tighter floor.
+	// decides, and a failed certificate re-runs at a tighter floor.
 	epsMin := 1.0 / float64(n+1)
 	if s.opts.Epsilon > 0 {
 		lb := 0.0
@@ -149,10 +154,19 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 			epsMin = alt
 		}
 	}
+	p, err := s.program(n)
+	if err != nil {
+		return nil, err
+	}
+	// Runs serialize per program: tensor data is program-resident.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.eng.ResetReport()
 	// A readback the certificate cannot attest within Epsilon re-runs
-	// at a tighter floor, at most twice, before its *GapError stands.
+	// the same program at a tighter floor, at most twice, before its
+	// *GapError stands.
 	for attempt := 1; ; attempt++ {
-		r, err := s.runOnce(ctx, c, benefit, price, epsMin)
+		r, err := s.runOnce(ctx, p, c, benefit, price, epsMin)
 		var ge *lsap.GapError
 		if errors.As(err, &ge) && attempt < 3 {
 			epsMin /= 8
@@ -162,29 +176,16 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	}
 }
 
-// runOnce builds and executes one on-device auction at the given ε
-// floor and certifies the readback with its price-derived duals.
-func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, benefit, price []float64, epsMin float64) (*Result, error) {
+// runOnce executes the compiled auction once at the given ε floor and
+// certifies the readback with its price-derived duals.
+func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefit, price []float64, epsMin float64) (*Result, error) {
 	n := c.N
-	b := newAuctionBuilder(s.opts, n, epsMin)
-	dev, err := ipu.NewDevice(s.opts.Config)
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.Fault != nil {
-		dev.SetInjector(s.opts.Fault)
-	}
-	engOpts := []poplar.EngineOption{
-		poplar.WithRetry(s.opts.MaxRetries, 0),
-	}
-	if s.opts.MaxSupersteps != 0 {
-		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))
-	}
-	eng, err := poplar.NewEngine(b.g, b.program(), dev, engOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("ipuauction: graph compilation failed: %w", err)
-	}
-
+	b, eng, dev := p.b, p.eng, p.dev
+	// Every run starts from the all-zero state of a fresh engine. The
+	// floor is set outside the transfer barrier, so the fault schedule
+	// sees the same host transfers as on a freshly compiled program.
+	eng.ZeroState()
+	b.epsMin.SetScalar(epsMin)
 	dev.ResetClock()
 	if err := eng.HostWrite(b.benefit, benefit); err != nil {
 		return nil, fmt.Errorf("ipuauction: input transfer failed: %w", err)
@@ -222,5 +223,73 @@ func (s *Solver) runOnce(ctx context.Context, c *lsap.Matrix, benefit, price []f
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime()}, nil
+	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: eng.Report()}, nil
+}
+
+// programKey is the auction's compile fingerprint, following core's:
+// every Options field that changes the graph, the engine or the bound
+// device. The ε floor and warm prices are tensor data, so one program
+// serves every Epsilon. Injectors are compared by identity.
+type programKey struct {
+	n             int
+	cfg           ipu.Config
+	maxRetries    int
+	maxSupersteps int64
+	fault         faultinject.Injector
+}
+
+// program is one shape's compiled auction: the laid-out builder, the
+// verified and compiled engine, and its device. Runs serialize on mu.
+type program struct {
+	b   *auctionBuilder
+	eng *poplar.Engine
+	dev *ipu.Device
+	mu  sync.Mutex
+}
+
+// cache holds the compiled auction programs, an instance of the same
+// single-flight LRU that holds HunIPU's.
+var cache = poplar.NewProgramCache[programKey, *program](poplar.DefaultCacheCapacity)
+
+// DefaultCache returns the process-wide cache of compiled auction
+// programs.
+func DefaultCache() *poplar.ProgramCache[programKey, *program] { return cache }
+
+// program returns the compiled auction for an n×n problem, from the
+// cache unless the injector's dynamic type cannot be compared, in
+// which case the solve compiles a private one.
+func (s *Solver) program(n int) (*program, error) {
+	o := s.opts
+	build := func() (*program, error) { return s.compile(n) }
+	if o.Fault != nil && !reflect.TypeOf(o.Fault).Comparable() {
+		return build()
+	}
+	key := programKey{n: n, cfg: o.Config, maxRetries: o.MaxRetries, maxSupersteps: o.MaxSupersteps, fault: o.Fault}
+	p, _, err := cache.Acquire(key, build)
+	return p, err
+}
+
+// compile is the cold path: graph construction, ahead-of-run
+// verification and compilation, with the injector installed first so
+// tile-memory faults can fire during compilation's allocations.
+func (s *Solver) compile(n int) (*program, error) {
+	b := newAuctionBuilder(s.opts.Config, n)
+	dev, err := ipu.NewDevice(s.opts.Config)
+	if err != nil {
+		return nil, err
+	}
+	if s.opts.Fault != nil {
+		dev.SetInjector(s.opts.Fault)
+	}
+	engOpts := []poplar.EngineOption{
+		poplar.WithRetry(s.opts.MaxRetries, 0),
+	}
+	if s.opts.MaxSupersteps != 0 {
+		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))
+	}
+	eng, err := poplar.NewEngine(b.g, b.program(), dev, engOpts...)
+	if err != nil {
+		return nil, fmt.Errorf("ipuauction: graph compilation failed: %w", err)
+	}
+	return &program{b: b, eng: eng, dev: dev}, nil
 }

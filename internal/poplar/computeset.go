@@ -58,14 +58,15 @@ type ComputeSet struct {
 	vertices []*Vertex
 
 	// compiled state (filled by Engine.compile): the step's exchange,
-	// reduced to the figures a superstep charges, and the vertex
-	// schedule, one entry per tile that runs vertices in ascending tile
-	// order. Laid out once so the superstep loop (Engine.runComputeSet)
-	// reads no map and allocates nothing; safe to reuse across runs
-	// because a compiled program serializes them (see
-	// core.CompiledProgram).
+	// reduced to the figures a superstep charges, the tensors its
+	// vertices declare writes to, and the vertex schedule, one entry
+	// per tile that runs vertices in ascending tile order. Laid out
+	// once so the superstep loop (Engine.runComputeSet) reads no map
+	// and allocates nothing; safe to reuse across runs because a
+	// compiled program serializes them (see core.CompiledProgram).
 	compiled bool
 	exchange ipu.Exchange
+	written  []*Tensor
 	sched    []tileStep
 }
 

@@ -3,6 +3,7 @@ package poplar
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,7 +75,7 @@ type Engine struct {
 	replaySkip   int64
 	replaying    bool
 	cps          []*checkpoint // ring, oldest first (see guardRingSize)
-	cpSpare      *checkpoint   // evicted snapshot recycled for buffers
+	free         [][][]float64 // recycled snapshot buffers, per tensor id
 	report       RunReport
 
 	// Guard state (see guard.go).
@@ -104,6 +105,7 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 	}
 	e.chipSums = make([]uint64, e.chips)
 	e.strikes = make([]int, e.chips)
+	e.free = make([][][]float64, len(g.tensors))
 	for _, o := range opts {
 		o(e)
 	}
@@ -232,6 +234,9 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 		for _, r := range v.writes {
 			if r.T == nil {
 				return fmt.Errorf("poplar: compute set %q vertex %d: nil tensor ref", cs.Name, vi)
+			}
+			if !slices.Contains(cs.written, r.T) {
+				cs.written = append(cs.written, r.T)
 			}
 		}
 		byTile[v.Tile] = append(byTile[v.Tile], v)

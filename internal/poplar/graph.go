@@ -73,6 +73,10 @@ type Tensor struct {
 	id      int
 	data    []float64
 	mapping []Region // sorted by Start; must cover [0, len(data)) at compile
+	// dirty marks data changed since the engine's newest checkpoint,
+	// which then copies this tensor instead of sharing the previous
+	// snapshot's buffer (see saveCheckpoint).
+	dirty bool
 }
 
 // NumElements returns the flattened length.

@@ -361,6 +361,7 @@ func flipBit(r Ref, fe *faultinject.FaultError) {
 	idx := int((uint64(fe.Point.Superstep)*31 + uint64(fe.Rule) + 1) % uint64(len(d)))
 	bit := uint(44 + fe.Point.Superstep%8)
 	d[idx] = math.Float64frombits(math.Float64bits(d[idx]) ^ (1 << bit))
+	r.T.dirty = true
 }
 
 // applySilentFault mutates live state for a silent fault class and
@@ -475,7 +476,7 @@ func (e *Engine) rollbackPastPoison(ce *faultinject.CorruptionError) error {
 			return nil
 		}
 		ce.PoisonedEpochs++
-		e.cps = e.cps[:len(e.cps)-1]
+		e.drop(len(e.cps) - 1)
 	}
 	e.report.RollbackEpochs += ce.PoisonedEpochs
 	return ce

@@ -12,6 +12,7 @@ func (t *Tensor) HostWrite(vals []float64) {
 			len(vals), t.Name, len(t.data)))
 	}
 	copy(t.data, vals)
+	t.dirty = true
 }
 
 // HostRead copies the tensor's contents back to the host.
@@ -27,6 +28,7 @@ func (t *Tensor) SetScalar(v float64) {
 		panic(fmt.Sprintf("poplar: SetScalar on non-scalar %q", t.Name))
 	}
 	t.data[0] = v
+	t.dirty = true
 }
 
 // ScalarValue reads a single-element tensor.
@@ -46,5 +48,6 @@ func (t *Tensor) ScalarValue() float64 {
 func (e *Engine) ZeroState() {
 	for _, t := range e.graph.tensors {
 		clear(t.data)
+		t.dirty = true
 	}
 }

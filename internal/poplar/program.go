@@ -93,6 +93,11 @@ func (p *execProg) exec(e *Engine) error {
 		return err
 	}
 	e.guardPostStep(writes)
+	if e.cpLive > 0 {
+		for _, t := range p.cs.written {
+			t.dirty = true
+		}
+	}
 	if fe != nil {
 		// In-fabric flip after the sender-side checksum update: only a
 		// full verify can catch it.
@@ -292,6 +297,9 @@ func (p *copyProg) exec(e *Engine) error {
 	}
 	e.guardPreStep([]Ref{p.dst})
 	copy(p.dst.Data(), p.src.Data())
+	if e.cpLive > 0 {
+		p.dst.T.dirty = true
+	}
 	e.guardPostStep([]Ref{p.dst})
 	if fe != nil {
 		e.applyLateSilentFault(fe, []Ref{p.dst})

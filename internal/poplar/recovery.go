@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hunipu/internal/faultinject"
@@ -78,6 +79,9 @@ func (e *Engine) ResetReport() { e.report = RunReport{} }
 // control predicates — everything lives in tensors) plus the program
 // position, encoded as the count of executed leaf steps and the length
 // of the control-flow decision log at the time of the snapshot.
+// Consecutive snapshots share the buffer of every tensor that did not
+// change between them, so one buffer is held by a contiguous run of
+// ring entries.
 type checkpoint struct {
 	data      [][]float64
 	steps     int64
@@ -85,35 +89,59 @@ type checkpoint struct {
 }
 
 // saveCheckpoint snapshots all tensor state at the current position
-// into the checkpoint ring (capacity guardRingSize, oldest evicted),
-// recycling the evicted snapshot's buffers. Keeping a ring rather than
-// a single snapshot is what makes certified rollback possible: when a
-// guard trip reveals that recent epochs are poisoned, recovery can
-// reach back past them.
+// into the checkpoint ring (capacity guardRingSize, oldest evicted).
+// Only tensors written since the previous snapshot are copied, into
+// buffers recycled from the engine's free lists; a clean tensor shares
+// the previous snapshot's buffer, so every snapshot equals a full copy.
+// Keeping a ring rather than a single snapshot is what makes certified
+// rollback possible: when a guard trip reveals that recent epochs are
+// poisoned, recovery can reach back past them.
 func (e *Engine) saveCheckpoint() {
 	var cp *checkpoint
 	if len(e.cps) >= guardRingSize {
-		cp = e.cps[0]
-		copy(e.cps, e.cps[1:])
-		e.cps = e.cps[:len(e.cps)-1]
-	} else if e.cpSpare != nil {
-		cp = e.cpSpare
-		e.cpSpare = nil
-	}
-	if cp == nil || len(cp.data) != len(e.graph.tensors) {
+		cp = e.drop(0)
+	} else {
 		cp = &checkpoint{data: make([][]float64, len(e.graph.tensors))}
 	}
+	var prev *checkpoint
+	if len(e.cps) > 0 {
+		prev = e.cps[len(e.cps)-1]
+	}
 	for i, t := range e.graph.tensors {
-		if cap(cp.data[i]) < len(t.data) {
-			cp.data[i] = make([]float64, len(t.data))
+		if prev != nil && !t.dirty {
+			cp.data[i] = prev.data[i]
+			continue
 		}
-		cp.data[i] = cp.data[i][:len(t.data)]
-		copy(cp.data[i], t.data)
+		var buf []float64
+		if f := e.free[i]; len(f) > 0 {
+			buf, e.free[i] = f[len(f)-1], f[:len(f)-1]
+		}
+		cp.data[i] = append(buf[:0], t.data...)
+		t.dirty = false
 	}
 	cp.steps = e.steps
 	cp.decisions = len(e.decisions)
 	e.cps = append(e.cps, cp)
 	e.report.CheckpointsSaved++
+}
+
+// drop removes the oldest (k = 0) or the newest ring entry and returns
+// its buffers to the per-tensor free lists, except those its remaining
+// neighbour shares: sharing only runs between neighbours, so no other
+// entry can hold them.
+func (e *Engine) drop(k int) *checkpoint {
+	cp := e.cps[k]
+	e.cps = slices.Delete(e.cps, k, k+1)
+	var near *checkpoint
+	if len(e.cps) > 0 {
+		near = e.cps[min(k, len(e.cps)-1)]
+	}
+	for i, d := range cp.data {
+		if len(d) > 0 && (near == nil || &near.data[i][0] != &d[0]) {
+			e.free[i] = append(e.free[i], d)
+		}
+	}
+	return cp
 }
 
 // restoreCheckpoint rewinds tensor state to the given snapshot and arms
@@ -128,6 +156,7 @@ func (e *Engine) saveCheckpoint() {
 func (e *Engine) restoreCheckpoint(cp *checkpoint) {
 	for i, t := range e.graph.tensors {
 		copy(t.data, cp.data[i])
+		t.dirty = false
 	}
 	e.decisions = e.decisions[:cp.decisions]
 	e.replayDecIdx = 0
@@ -218,13 +247,10 @@ func (e *Engine) applyFaultEffect(fe *faultinject.FaultError, writes []Ref) {
 			for i := range d {
 				d[i] = math.NaN()
 			}
+			w.T.dirty = true
 		}
 	case faultinject.DeviceReset:
-		for _, t := range e.graph.tensors {
-			for i := range t.data {
-				t.data[i] = 0
-			}
-		}
+		e.ZeroState()
 	}
 }
 
@@ -268,16 +294,22 @@ func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out 
 	e.steps = 0
 	e.replaying = false
 	e.cps = e.cps[:0]
-	e.cpSpare = nil
 	e.pendingSince = -1
 	e.silentSeen = 0
 	clear(e.strikes)
 	defer func() {
+		var kept *checkpoint
 		if err != nil && handBack && len(e.cps) > 0 {
-			cp := e.cps[len(e.cps)-1]
-			out = &Checkpoint{data: cp.data, steps: cp.steps, decisions: append([]bool(nil), e.decisions[:cp.decisions]...)}
+			kept = e.cps[len(e.cps)-1]
+			out = &Checkpoint{data: kept.data, steps: kept.steps, decisions: append([]bool(nil), e.decisions[:kept.decisions]...)}
 		}
-		e.cps, e.cpSpare = nil, nil // snapshots are per-run; don't pin them
+		// Snapshots are per-run, but their buffers stay with the engine
+		// for the next run — except the handed-back one's, now the
+		// caller's.
+		for len(e.cps) > 0 && e.cps[0] != kept {
+			e.drop(0)
+		}
+		e.cps = nil
 	}()
 
 	e.cpLive = e.cpEvery
@@ -371,6 +403,7 @@ func (e *Engine) load(cp *Checkpoint) error {
 	}
 	for i, t := range e.graph.tensors {
 		copy(t.data, cp.data[i])
+		t.dirty = true
 	}
 	e.decisions = append(e.decisions[:0], cp.decisions...)
 	e.steps = cp.steps

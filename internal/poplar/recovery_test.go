@@ -3,6 +3,8 @@ package poplar
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -390,5 +392,177 @@ func TestResumeMovesCheckpointAcrossEngines(t *testing.T) {
 	}
 	if got != 210 {
 		t.Fatalf("acc = %g, want the exact fault-free 210", got)
+	}
+}
+
+// armedFault fires its class at the next superstep check once armed.
+type armedFault struct {
+	class faultinject.Class
+	on    bool
+}
+
+func (a *armedFault) Check(p faultinject.Point) *faultinject.FaultError {
+	if !a.on || p.Kind != faultinject.KindSuperstep {
+		return nil
+	}
+	a.on = false
+	return &faultinject.FaultError{Class: a.class, Point: p, Rule: -1}
+}
+
+// TestSnapshotsEqualFullCopies runs every path that changes tensor
+// data between two saves. Each save must capture exactly the live
+// state — as a full copy would — while every tensor the path did not
+// touch shares the previous snapshot's buffer, and recycling buffers
+// through the ring, or after rollback discards a snapshot, must never
+// disturb an older snapshot.
+func TestSnapshotsEqualFullCopies(t *testing.T) {
+	g := NewGraph(smallCfg())
+	a := g.AddVariable("a", Float, 8)
+	b := g.AddVariable("b", Float, 8)
+	c := g.AddVariable("c", Float, 8)
+	s := g.AddVariable("s", Float, 1)
+	g.MapLinearly(a)
+	g.SetTileMapping(b, 1, 0, 8)
+	g.SetTileMapping(c, 2, 0, 8)
+	g.MapAllTo(s, 3)
+	cs := g.AddComputeSet("step") // b = a + 1: reads a, writes b
+	ar, br := a.All(), b.All()
+	cs.AddVertex(1, func(w *Worker) {
+		for i, v := range ar.Data() {
+			br.Data()[i] = v + 1
+		}
+		w.ChargeVec(8)
+	}).Reads(ar).Writes(br)
+	step, cp := Execute(cs), Copy(b.All(), c.All())
+	dev := newDev(t, smallCfg())
+	inj := &armedFault{}
+	dev.SetInjector(inj)
+	eng, err := NewEngine(g, Sequence(step, cp), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.cpLive = 1 << 40 // checkpointing active; saves only where the test takes them
+	fault := func(class faultinject.Class, prog Program) func() {
+		return func() {
+			inj.class, inj.on = class, true
+			_ = prog.exec(eng)
+		}
+	}
+	vals := func(v float64) []float64 {
+		out := make([]float64, 8)
+		for i := range out {
+			out[i] = v + float64(i)
+		}
+		return out
+	}
+	all := []*Tensor{a, b, c, s}
+	var want [][][]float64 // full copies of the state at each save, oldest first
+	save := func() {
+		eng.saveCheckpoint()
+		var full [][]float64
+		for _, x := range all {
+			full = append(full, x.HostRead())
+		}
+		want = append(want, full)
+		if len(want) > guardRingSize {
+			want = want[1:]
+		}
+	}
+	ringIntact := func(after string) {
+		t.Helper()
+		for k, cp := range eng.cps {
+			for _, x := range all {
+				if !sameBits(cp.data[x.id], want[k][x.id]) {
+					t.Fatalf("after %s: ring snapshot %d of %q changed to %v, want %v", after, k, x.Name, cp.data[x.id], want[k][x.id])
+				}
+			}
+		}
+	}
+	save()
+	for _, p := range []struct {
+		name    string
+		run     func()
+		touched []*Tensor
+	}{
+		{"engine host write", func() { _ = eng.HostWrite(a, vals(10)) }, []*Tensor{a}},
+		{"compute set", func() { _ = step.exec(eng) }, []*Tensor{b}},
+		{"copy", func() { _ = cp.exec(eng) }, []*Tensor{c}},
+		{"tensor host write", func() { b.HostWrite(vals(20)) }, []*Tensor{b}},
+		{"set scalar", func() { s.SetScalar(7) }, []*Tensor{s}},
+		{"tile flip on a read-only tensor", fault(faultinject.SilentTileBitflip, step), []*Tensor{a, b}},
+		{"exchange scribble", fault(faultinject.ExchangeCorruption, step), []*Tensor{b}},
+		{"zero state", eng.ZeroState, all},
+		{"engine host write again", func() { _ = eng.HostWrite(c, vals(30)) }, []*Tensor{c}},
+		{"reset", fault(faultinject.DeviceReset, step), all},
+	} {
+		p.run()
+		prev := eng.cps[len(eng.cps)-1]
+		save()
+		newest := eng.cps[len(eng.cps)-1]
+		for _, x := range all {
+			if !sameBits(newest.data[x.id], x.data) {
+				t.Errorf("%s: snapshot of %q = %v, live %v", p.name, x.Name, newest.data[x.id], x.data)
+			}
+			if !slices.Contains(p.touched, x) && &newest.data[x.id][0] != &prev.data[x.id][0] {
+				t.Errorf("%s: untouched %q was copied instead of shared", p.name, x.Name)
+			}
+		}
+		ringIntact(p.name)
+	}
+	// Rollback discards the newest snapshot, which shares every buffer
+	// but s's with the one before it, and restores that one.
+	s.SetScalar(9)
+	save()
+	eng.drop(len(eng.cps) - 1)
+	want = want[:len(want)-1]
+	eng.restoreCheckpoint(eng.cps[len(eng.cps)-1])
+	_ = eng.HostWrite(a, vals(40))
+	save()
+	ringIntact("a rollback")
+}
+
+// sameBits compares float slices bit for bit, so NaN scribbles match.
+func sameBits(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+}
+
+// TestHandedBackCheckpointKeepsBuffers: the snapshot Resume hands back
+// belongs to the caller, so the engine's next runs, which recycle the
+// rest of the ring, must never write into it.
+func TestHandedBackCheckpointKeepsBuffers(t *testing.T) {
+	g, counter, acc, pred, prog := newCountdown()
+	dev := newDev(t, smallCfg())
+	sched, err := faultinject.ParseSchedule("reset at=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetInjector(sched)
+	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter.SetScalar(20)
+	acc.SetScalar(0)
+	pred.SetScalar(1)
+	cp, err := eng.Resume(context.Background(), nil)
+	if err == nil || cp == nil {
+		t.Fatalf("err = %v, checkpoint %v: want a failed run handing back its newest snapshot", err, cp)
+	}
+	held := make([][]float64, len(cp.data))
+	for i, d := range cp.data {
+		held[i] = slices.Clone(d)
+	}
+	for run := 0; run < 2; run++ {
+		counter.SetScalar(20)
+		acc.SetScalar(0)
+		pred.SetScalar(1)
+		if err := eng.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range held {
+		if !slices.Equal(cp.data[i], held[i]) {
+			t.Fatalf("handed-back tensor %d changed from %v to %v", i, held[i], cp.data[i])
+		}
 	}
 }

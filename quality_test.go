@@ -277,3 +277,22 @@ func TestBoundedFallbackChain(t *testing.T) {
 		t.Fatalf("failed attempt recorded quality %v", got)
 	}
 }
+
+// TestBoundedAttemptReportsRecovery: a bounded IPU attempt that
+// survives a transient fault reports the retry and the checkpoint
+// restore it took, as an exact attempt does.
+func TestBoundedAttemptReportsRecovery(t *testing.T) {
+	costs := randomCosts(rand.New(rand.NewSource(58)), 24, 24, 1000)
+	for _, q := range []Quality{Exact(), Bounded(0.05)} {
+		res, err := Solve(costs, OnIPU(), WithQuality(q),
+			WithRecovery(2, 0), WithFaultSchedule("seed=1; exchange at=40"))
+		if err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+		att := res.Report.Attempts[0]
+		if att.Faults != 1 || att.Retries < 1 || att.CheckpointsSaved < 1 || att.CheckpointsRestored < 1 {
+			t.Fatalf("%v attempt: faults %d, retries %d, checkpoints saved %d restored %d; want the survived fault's retry and restore",
+				q, att.Faults, att.Retries, att.CheckpointsSaved, att.CheckpointsRestored)
+		}
+	}
+}
