@@ -219,8 +219,8 @@ func BenchmarkSolverZoo(b *testing.B) {
 }
 
 // TestWarmSolveAllocBudget is the step-kernel allocation-churn ratchet.
-// Before the compile-time execution scratch (ComputeSet.sched and
-// ipu.Config.TileTimeInto), a warm n=64 solve heap-allocated ~440k
+// Before the compile-time execution scratch (ComputeSet.sched, whose
+// tiles keep their thread slots), a warm n=64 solve heap-allocated ~440k
 // objects — one Worker per vertex per superstep plus per-superstep
 // schedule and timing slices. Before the engine gathered a guarded
 // step's declared reads and writes into one reusable scratch pair, a

@@ -18,7 +18,7 @@
 //
 // Shedding is typed on the wire: 429 overloaded, 422 deadline too
 // short, 503 draining / no device, 504 deadline expired mid-solve,
-// 400 invalid input.
+// 413 body over 64 MiB, 400 invalid input.
 //
 // Usage:
 //
@@ -37,6 +37,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -223,16 +224,115 @@ func (f *flags) serverConfig() (serve.Config, error) {
 	return cfg, nil
 }
 
+// maxBodyBytes bounds a POST /solve body; a longer one is answered 413.
+const maxBodyBytes = 64 << 20
+
 // solveRequest is the POST /solve body. Quality is a ParseQuality
 // spec ("exact" or "bounded(ε)"); empty means the daemon's -quality
 // default. Key names the client's solve stream for per-key dual
 // warm-starting (see serve.Request.Key).
 type solveRequest struct {
-	Costs      [][]float64 `json:"costs"`
-	Maximize   bool        `json:"maximize,omitempty"`
-	DeadlineMS int64       `json:"deadline_ms,omitempty"`
-	Quality    string      `json:"quality,omitempty"`
-	Key        string      `json:"key,omitempty"`
+	Costs      costMatrix `json:"costs"`
+	Maximize   bool       `json:"maximize,omitempty"`
+	DeadlineMS int64      `json:"deadline_ms,omitempty"`
+	Quality    string     `json:"quality,omitempty"`
+	Key        string     `json:"key,omitempty"`
+}
+
+// costMatrix is a request's cost matrix. It decodes as encoding/json
+// decodes into [][]float64, without reflection: every row is a slice
+// of one backing array.
+type costMatrix [][]float64
+
+// UnmarshalJSON decodes raw, which encoding/json has already checked
+// to be one well-formed JSON value, so only value types are checked
+// here. The backing array is sized once, before parsing: every entry
+// but the last is followed by a comma, so the commas in raw bound the
+// entry count from above.
+func (m *costMatrix) UnmarshalJSON(raw []byte) error {
+	if *m != nil {
+		// A repeated "costs" key: encoding/json decodes it into what the
+		// one before left, which only encoding/json reproduces exactly.
+		return json.Unmarshal(raw, (*[][]float64)(m))
+	}
+	if i := bytes.IndexByte(raw, '"'); i >= 0 {
+		// Strings are never valid here, and rejecting them first keeps
+		// commas inside a string from inflating the size bound.
+		return errCostType(raw, i)
+	}
+	var rows [][]float64
+	vals := make([]float64, 0, bytes.Count(raw, []byte{','})+1)
+	depth, start := 0, 0 // start: index in vals of the open row's first entry
+	for i := 0; i < len(raw); {
+		switch c := raw[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ',':
+			i++
+		case c == '[' && depth == 0:
+			rows = make([][]float64, 0, bytes.Count(raw, []byte{'['})-1)
+			depth, i = 1, i+1
+		case c == '[' && depth == 1:
+			start = len(vals)
+			depth, i = 2, i+1
+		case c == ']':
+			if depth == 2 {
+				rows = append(rows, vals[start:len(vals):len(vals)])
+			}
+			depth, i = depth-1, i+1
+		case c == 'n': // null: a nil matrix, a nil row or, as in encoding/json, a zero entry
+			switch depth {
+			case 1:
+				rows = append(rows, nil)
+			case 2:
+				vals = append(vals, 0)
+			}
+			i += len("null")
+		case depth == 2 && (c == '-' || '0' <= c && c <= '9'):
+			j := i + 1
+			for j < len(raw) && numberByte(raw[j]) {
+				j++
+			}
+			v, err := parseCost(raw[i:j])
+			if err != nil {
+				return err
+			}
+			vals = append(vals, v)
+			i = j
+		default:
+			return errCostType(raw, i)
+		}
+	}
+	*m = rows
+	return nil
+}
+
+func errCostType(raw []byte, i int) error {
+	return fmt.Errorf("costs: found %q at offset %d, want an array of arrays of numbers", raw[i], i)
+}
+
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
+// parseCost converts one JSON number. An unsigned integer of at most
+// 15 digits is below 2^53, so integer arithmetic converts it exactly;
+// every other number goes through strconv.ParseFloat, as in
+// encoding/json.
+func parseCost(tok []byte) (float64, error) {
+	if len(tok) <= 15 {
+		var u uint64
+		i := 0
+		for ; i < len(tok) && '0' <= tok[i] && tok[i] <= '9'; i++ {
+			u = u*10 + uint64(tok[i]-'0')
+		}
+		if i == len(tok) {
+			return float64(u), nil
+		}
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, fmt.Errorf("costs: %w", err)
+	}
+	return v, nil
 }
 
 // solveResponse is the success body. Quality is the tier that actually
@@ -317,9 +417,14 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req solveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err.Error())
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return
 	}

@@ -94,6 +94,35 @@ func TestSolveEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestSolveBodyTooLarge: a body one byte past the limit is answered
+// 413, not 400; it is too long, not malformed.
+func TestSolveBodyTooLarge(t *testing.T) {
+	_, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	head, tail := `{"costs":[[1]]`, `}`
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(head)+len(tail))),
+		strings.NewReader(tail))
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", body))
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("bad error JSON %s", rec.Body.Bytes())
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || e.Code != "too_large" {
+		t.Fatalf("status %d code %q (%s), want 413 too_large", rec.Code, e.Code, e.Error)
+	}
+}
+
+// spaces reads as endless JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 func TestHealthAndReadiness(t *testing.T) {
 	srv, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
 	for _, path := range []string{"/healthz", "/readyz"} {

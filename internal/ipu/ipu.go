@@ -384,22 +384,11 @@ func (d *Device) ChargeGuard(n int64) {
 // and vertices are distributed round-robin over the threads. The tile's
 // compute time is the busiest thread's total.
 func (c Config) TileTime(vertexCycles []int64) int64 {
-	return c.TileTimeInto(vertexCycles, make([]int64, c.ThreadsPerTile))
-}
-
-// TileTimeInto is TileTime with caller-provided per-thread scratch, for
-// hot loops that model the same tile every superstep (see poplar's
-// Engine.runComputeSet): threads must have at least ThreadsPerTile
-// entries and is overwritten.
-func (c Config) TileTimeInto(vertexCycles, threads []int64) int64 {
 	t := c.ThreadsPerTile
 	if len(vertexCycles) == 0 {
 		return 0
 	}
-	threads = threads[:t]
-	for i := range threads {
-		threads[i] = 0
-	}
+	threads := make([]int64, t)
 	for i, w := range vertexCycles {
 		threads[i%t] += w + c.VertexOverheadCycles
 	}

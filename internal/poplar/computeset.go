@@ -70,12 +70,15 @@ type ComputeSet struct {
 	sched    []tileStep
 }
 
-// tileStep is one tile's share of a compute set: its vertices in
-// declaration order and the execution scratch that models its time.
+// tileStep is one tile's share of a compute set, fixed at compile
+// time: its codelets in declaration order, the tile's thread count and
+// per-vertex dispatch overhead, and one busy-cycle slot per thread its
+// vertices occupy.
 type tileStep struct {
-	vertices []*Vertex
-	cycles   []int64 // per-vertex work of the current execution
-	threads  []int64 // per-thread scratch for ipu.Config.TileTimeInto
+	codelets []Codelet
+	threads  int64
+	overhead int64
+	slots    []int64 // min(threads, len(codelets)) entries
 	// One Worker per tile, not per vertex: &w escapes into the codelet
 	// call, so a loop-local Worker would heap-allocate once per vertex
 	// per superstep.
@@ -83,14 +86,29 @@ type tileStep struct {
 }
 
 // run executes the tile's vertices and returns its modeled compute
-// time.
-func (t *tileStep) run(cfg ipu.Config) int64 {
-	for i, v := range t.vertices {
-		t.w.cycles = 0
-		v.Run(&t.w)
-		t.cycles[i] = t.w.cycles
+// time. As each vertex returns, its work plus the dispatch overhead is
+// added into its round-robin thread slot, which is
+// ipu.Config.TileTime's sum in the same order. The first round of
+// vertices sets the slots, so none needs zeroing.
+func (t *tileStep) run() int64 {
+	k := 0
+	for i, run := range t.codelets {
+		t.w.cycles = t.overhead
+		run(&t.w)
+		if i < len(t.slots) {
+			t.slots[k] = t.w.cycles
+		} else {
+			t.slots[k] += t.w.cycles
+		}
+		if k++; k == len(t.slots) {
+			k = 0
+		}
 	}
-	return cfg.TileTimeInto(t.cycles, t.threads)
+	var busiest int64
+	for _, s := range t.slots {
+		busiest = max(busiest, s)
+	}
+	return busiest * t.threads
 }
 
 // AddComputeSet declares a new, empty compute set.

@@ -218,7 +218,7 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	// verify.go), which NewEngine runs before any compilation; this
 	// pass only keeps the structural checks needed when a compute set
 	// is compiled directly in tests, then builds the schedule.
-	byTile := map[int][]*Vertex{}
+	byTile := map[int][]Codelet{}
 	for vi, v := range cs.vertices {
 		if v.Tile < 0 || v.Tile >= cfg.Tiles() {
 			return fmt.Errorf("poplar: compute set %q vertex %d on invalid tile %d", cs.Name, vi, v.Tile)
@@ -239,7 +239,7 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 				cs.written = append(cs.written, r.T)
 			}
 		}
-		byTile[v.Tile] = append(byTile[v.Tile], v)
+		byTile[v.Tile] = append(byTile[v.Tile], v.Run)
 	}
 	tiles := make([]int, 0, len(byTile))
 	for t := range byTile {
@@ -249,9 +249,10 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	cs.sched = make([]tileStep, len(tiles))
 	for i, t := range tiles {
 		cs.sched[i] = tileStep{
-			vertices: byTile[t],
-			cycles:   make([]int64, len(byTile[t])),
-			threads:  make([]int64, cfg.ThreadsPerTile),
+			codelets: byTile[t],
+			threads:  int64(cfg.ThreadsPerTile),
+			overhead: cfg.VertexOverheadCycles,
+			slots:    make([]int64, min(cfg.ThreadsPerTile, len(byTile[t]))),
 		}
 	}
 
@@ -347,10 +348,9 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 //
 //hunipulint:hotpath
 func (e *Engine) runComputeSet(cs *ComputeSet) error {
-	cfg := e.graph.cfg
 	var compute int64
 	for i := range cs.sched {
-		compute = max(compute, cs.sched[i].run(cfg))
+		compute = max(compute, cs.sched[i].run())
 	}
 	var start int64
 	if e.trace != nil {

@@ -946,48 +946,67 @@ func TestCompileErrorPaths(t *testing.T) {
 	}
 }
 
-// TestComputeSetChargesSlowestTile: a compute set with many vertices
-// per tile runs every vertex exactly once, and its superstep's compute
-// phase costs the slowest tile's time (C3), not the sum over tiles.
+// TestComputeSetChargesSlowestTile: a compute set runs every vertex
+// exactly once per execution, and its superstep's compute phase costs the slowest
+// tile's time (C3), not the sum over tiles. Tiles hold fewer, as many
+// and more vertices than the 6 threads, each vertex with its own
+// charge, so which thread slot a vertex's work lands in decides the
+// time; each tile takes a turn as the slowest.
 func TestComputeSetChargesSlowestTile(t *testing.T) {
 	cfg := smallCfg()
-	g := NewGraph(cfg)
-	x := g.AddVariable("x", Float, 300)
-	g.MapLinearly(x)
-	cs := g.AddComputeSet("many")
-	var want int64
-	for _, r := range x.MappingRegions() {
-		// Tile k's vertices each cost k+1 cycles.
-		work := int64(r.Tile + 1)
-		cycles := make([]int64, 0, r.End-r.Start)
-		for e := r.Start; e < r.End; e++ {
-			ref := x.Index(e)
-			val := float64(e)
-			cs.AddVertex(r.Tile, func(w *Worker) {
-				ref.Data()[0] = val
-				w.Charge(work)
-			}).Writes(ref)
-			cycles = append(cycles, work)
+	counts := []int{1, 5, 6, 7, 13} // vertices on tiles 0, 1, ...
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	for slow := range counts {
+		g := NewGraph(cfg)
+		x := g.AddVariable("x", Float, total)
+		cs := g.AddComputeSet("uneven")
+		var want, slowest int64
+		e := 0
+		for tile, n := range counts {
+			g.SetTileMapping(x, tile, e, e+n)
+			cycles := make([]int64, n)
+			for j := range cycles {
+				cycles[j] = int64((5*j+tile)%7 + 1)
+				if tile == slow {
+					cycles[j] *= 100
+				}
+				ref, work := x.Index(e), cycles[j]
+				cs.AddVertex(tile, func(w *Worker) {
+					ref.Data()[0]++
+					w.Charge(work)
+				}).Writes(ref)
+				e++
+			}
+			want = max(want, cfg.TileTime(cycles))
+			if tile == slow {
+				slowest = cfg.TileTime(cycles)
+			}
 		}
-		want = max(want, cfg.TileTime(cycles))
-	}
-	dev := newDev(t, cfg)
-	eng, err := NewEngine(g, Execute(cs), dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range x.HostRead() {
-		sum += v
-	}
-	if sum != 300.0*299/2 {
-		t.Fatalf("sum = %g, want %g", sum, 300.0*299/2)
-	}
-	if got := dev.Stats().ComputeCycles; got != want {
-		t.Fatalf("ComputeCycles = %d, want the slowest tile's %d", got, want)
+		if want != slowest {
+			t.Fatalf("slow tile %d: its time %d is not the maximum %d", slow, slowest, want)
+		}
+		dev := newDev(t, cfg)
+		eng, err := NewEngine(g, Execute(cs), dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two runs: the second must start from clear thread slots.
+		for run := 0; run < 2; run++ {
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, v := range x.HostRead() {
+			if v != 2 {
+				t.Fatalf("slow tile %d: vertex %d ran %g times in two runs, want 2", slow, i, v)
+			}
+		}
+		if got := dev.Stats().ComputeCycles; got != 2*want {
+			t.Fatalf("slow tile %d: ComputeCycles = %d over two runs, want twice the slowest tile's %d", slow, got, want)
+		}
 	}
 }
 
