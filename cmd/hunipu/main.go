@@ -44,7 +44,6 @@ func main() {
 type cliOptions struct {
 	timeout    time.Duration
 	retry      int
-	backoff    time.Duration
 	fallback   string
 	faults     string
 	showAssign bool
@@ -64,7 +63,6 @@ func run() error {
 	flag.StringVar(&cli.trace, "trace", "", "write the IPU BSP timeline as Chrome trace JSON to this file")
 	flag.DurationVar(&cli.timeout, "timeout", 0, "solve deadline (0 = none)")
 	flag.IntVar(&cli.retry, "retry", 0, "transient-fault checkpoint retries (hunipu.WithRecovery)")
-	flag.DurationVar(&cli.backoff, "backoff", 5*time.Millisecond, "initial retry backoff, doubling per retry")
 	flag.StringVar(&cli.fallback, "fallback", "", "degradation ladder after the primary, e.g. gpu,cpu (hunipu.WithFallback)")
 	flag.StringVar(&cli.faults, "faults", "", "deterministic fault schedule, e.g. 'seed=7; exchange every=40 p=0.5' (hunipu.WithFaultSchedule)")
 	flag.Parse()
@@ -156,7 +154,7 @@ func solveOn(device string, costs [][]float64, cli cliOptions) error {
 		opts = append(opts, hunipu.WithFaultSchedule(cli.faults))
 	}
 	if cli.retry > 0 {
-		opts = append(opts, hunipu.WithRecovery(cli.retry, cli.backoff))
+		opts = append(opts, hunipu.WithRecovery(cli.retry))
 	}
 	var traceFile *os.File
 	if primary == hunipu.DeviceIPU && (cli.profile || cli.trace != "") {

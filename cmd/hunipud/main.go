@@ -30,6 +30,12 @@
 //	hunipud -quality 'bounded(0.05)'               # default quality tier for requests
 //	hunipud -brownout 0.01,0.05,0.1                # ε brownout ladder under pressure
 //
+// What no flag sets is fixed: the ladder is IPU→GPU→CPU, a device's
+// breaker opens for 2s after 4 failed attempts among its last 8, a
+// request without deadline_ms has no deadline, and a transient fault
+// is retried (up to -retries times) from the last checkpoint at once,
+// since faults fire on the simulated superstep clock.
+//
 // Sharded solves run HunIPU over a multi-chip tile space and are
 // guarded by default (GuardChecksums): checksums are kept per chip, a
 // chip caught corrupting state twice is quarantined, and answers are
@@ -69,61 +75,50 @@ func main() {
 
 // flags groups the daemon configuration.
 type flags struct {
-	addr            string
-	devices         string
-	workers         int
-	queue           int
-	retries         int
-	backoff         time.Duration
-	latencyBudget   time.Duration
-	breakerWindow   int
-	breakerFailures int
-	breakerOpen     time.Duration
-	drain           time.Duration
-	deadline        time.Duration
-	guard           string
-	faultsIPU       string
-	faultsGPU       string
-	progcache       int
-	shards          int
-	minFabric       int
-	quality         string
-	brownout        string
+	addr      string
+	workers   int
+	queue     int
+	retries   int
+	drain     time.Duration
+	guard     string
+	guardSet  bool // -guard was given, even as "off"
+	faultsIPU string
+	progcache int
+	shards    int
+	minFabric int
+	quality   string
+	brownout  string
 }
 
-func parseFlags() *flags {
+// parseFlags defines the daemon's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	f := &flags{}
-	flag.StringVar(&f.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&f.devices, "devices", "ipu,gpu,cpu", "degradation ladder, comma-separated")
-	flag.IntVar(&f.workers, "workers", 0, "solve workers (0 = GOMAXPROCS, capped at 8)")
-	flag.IntVar(&f.queue, "queue", 64, "admission queue depth")
-	flag.IntVar(&f.retries, "retries", 2, "transient-fault checkpoint retries per solve")
-	flag.DurationVar(&f.backoff, "backoff", 5*time.Millisecond, "initial retry backoff")
-	flag.DurationVar(&f.latencyBudget, "latency-budget", 0, "per-solve latency budget; slower serves count against the device's breaker (0 = off)")
-	flag.IntVar(&f.breakerWindow, "breaker-window", 8, "breaker outcome window")
-	flag.IntVar(&f.breakerFailures, "breaker-failures", 4, "failures in window that trip a breaker")
-	flag.DurationVar(&f.breakerOpen, "breaker-open", 2*time.Second, "open duration before a half-open canary")
-	flag.DurationVar(&f.drain, "drain", 10*time.Second, "drain deadline after SIGTERM")
-	flag.DurationVar(&f.deadline, "deadline", 0, "default per-request deadline when the client sends none (0 = none)")
-	flag.StringVar(&f.guard, "guard", "off", "silent-corruption guard policy on IPU solves: off, checksums, invariants, paranoid")
-	flag.StringVar(&f.faultsIPU, "faults-ipu", "", "shared fault schedule injected on the IPU (chaos drills)")
-	flag.StringVar(&f.faultsGPU, "faults-gpu", "", "shared fault schedule injected on the GPU (chaos drills)")
-	flag.IntVar(&f.progcache, "progcache", hunipu.DefaultProgramCacheCapacity, "compiled-program cache capacity in shapes, for HunIPU and the IPU auction each (0 = disable caching; every solve recompiles)")
-	flag.IntVar(&f.shards, "shards", 0, "run IPU solves sharded over this many simulated chips; survives chip loss by re-sharding (0 = single device)")
-	flag.IntVar(&f.minFabric, "min-fabric", 0, "smallest fabric a sharded solve may continue on after chip losses (0 = 1; requires -shards)")
-	flag.StringVar(&f.quality, "quality", "exact", "default quality tier for requests that send none: exact or bounded(ε), e.g. bounded(0.05)")
-	flag.StringVar(&f.brownout, "brownout", "", "comma-separated ascending ε brownout ladder, e.g. 0.01,0.05,0.1; under pressure requests are served at the loosest tier their deadline affords instead of being shed")
-	flag.Parse()
-	return f
+	fs.StringVar(&f.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&f.workers, "workers", 0, "solve workers (0 = GOMAXPROCS, capped at 8)")
+	fs.IntVar(&f.queue, "queue", 64, "admission queue depth")
+	fs.IntVar(&f.retries, "retries", 2, "transient-fault checkpoint retries per solve")
+	fs.DurationVar(&f.drain, "drain", 10*time.Second, "drain deadline after SIGTERM")
+	fs.StringVar(&f.guard, "guard", "off", "silent-corruption guard policy on IPU solves: off, checksums, invariants, paranoid")
+	fs.StringVar(&f.faultsIPU, "faults-ipu", "", "shared fault schedule injected on the IPU (chaos drills)")
+	fs.IntVar(&f.progcache, "progcache", hunipu.DefaultProgramCacheCapacity, "compiled-program cache capacity in shapes, for HunIPU and the IPU auction each (0 = disable caching; every solve recompiles)")
+	fs.IntVar(&f.shards, "shards", 0, "run IPU solves sharded over this many simulated chips; survives chip loss by re-sharding (0 = single device)")
+	fs.IntVar(&f.minFabric, "min-fabric", 0, "smallest fabric a sharded solve may continue on after chip losses (0 = 1; requires -shards)")
+	fs.StringVar(&f.quality, "quality", "exact", "default quality tier for requests that send none: exact or bounded(ε), e.g. bounded(0.05)")
+	fs.StringVar(&f.brownout, "brownout", "", "comma-separated ascending ε brownout ladder, e.g. 0.01,0.05,0.1; under pressure requests are served at the loosest tier their deadline affords instead of being shed")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		if fl.Name == "guard" {
+			f.guardSet = true
+		}
+	})
+	return f, nil
 }
 
 // defaultQuality maps the -quality flag to the tier applied when a
-// request sends no quality field ("" from a zero flags value means
-// exact).
+// request sends no quality field.
 func (f *flags) defaultQuality() (hunipu.Quality, error) {
-	if f.quality == "" {
-		return hunipu.Exact(), nil
-	}
 	q, err := hunipu.ParseQuality(f.quality)
 	if err != nil {
 		return hunipu.Quality{}, fmt.Errorf("-quality: %w", err)
@@ -148,78 +143,33 @@ func parseBrownout(spec string) ([]float64, error) {
 	return tiers, nil
 }
 
-// parseDevices maps the -devices flag to a ladder.
-func parseDevices(spec string) ([]hunipu.Device, error) {
-	var out []hunipu.Device
-	for _, w := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(strings.ToLower(w)) {
-		case "ipu":
-			out = append(out, hunipu.DeviceIPU)
-		case "gpu":
-			out = append(out, hunipu.DeviceGPU)
-		case "cpu":
-			out = append(out, hunipu.DeviceCPU)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown device %q (want ipu, gpu, cpu)", w)
-		}
-	}
-	return out, nil
-}
-
-// serverConfig assembles the serve.Config from flags.
+// serverConfig assembles the serve.Config from flags. The ladder, the
+// breakers and the admission cost model keep serve's defaults.
 func (f *flags) serverConfig() (serve.Config, error) {
-	devices, err := parseDevices(f.devices)
-	if err != nil {
-		return serve.Config{}, err
-	}
 	guard, err := hunipu.ParseGuardPolicy(f.guard)
 	if err != nil {
 		return serve.Config{}, fmt.Errorf("-guard: %w", err)
 	}
-	guardSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "guard" {
-			guardSet = true
-		}
-	})
 	tiers, err := parseBrownout(f.brownout)
 	if err != nil {
 		return serve.Config{}, err
 	}
 	cfg := serve.Config{
-		Devices:         devices,
 		Workers:         f.workers,
 		QueueDepth:      f.queue,
 		Retries:         f.retries,
-		Backoff:         f.backoff,
 		Guard:           guard,
-		GuardSet:        guardSet,
+		GuardSet:        f.guardSet,
 		Shards:          f.shards,
 		MinShardDevices: f.minFabric,
-		LatencyBudget:   f.latencyBudget,
 		BrownoutTiers:   tiers,
-		Breaker: serve.BreakerConfig{
-			Window:   f.breakerWindow,
-			Failures: f.breakerFailures,
-			OpenFor:  f.breakerOpen,
-		},
 	}
-	for dev, spec := range map[hunipu.Device]string{
-		hunipu.DeviceIPU: f.faultsIPU,
-		hunipu.DeviceGPU: f.faultsGPU,
-	} {
-		if spec == "" {
-			continue
-		}
-		sched, err := faultinject.ParseSchedule(spec)
+	if f.faultsIPU != "" {
+		sched, err := faultinject.ParseSchedule(f.faultsIPU)
 		if err != nil {
-			return serve.Config{}, err
+			return serve.Config{}, fmt.Errorf("-faults-ipu: %w", err)
 		}
-		if cfg.Inject == nil {
-			cfg.Inject = map[hunipu.Device]faultinject.Injector{}
-		}
-		cfg.Inject[dev] = sched
+		cfg.Inject = map[hunipu.Device]faultinject.Injector{hunipu.DeviceIPU: sched}
 	}
 	return cfg, nil
 }
@@ -376,21 +326,15 @@ func publishVars() {
 
 // daemon binds the HTTP surface to one serve.Server.
 type daemon struct {
-	srv             *serve.Server
-	defaultDeadline time.Duration
-	defaultQuality  hunipu.Quality
+	srv            *serve.Server
+	defaultQuality hunipu.Quality
 }
 
-// newDaemon wires the mux. The returned handler is what hunipud
-// listens on and what the tests drive via httptest.
-func newDaemon(srv *serve.Server, defaultDeadline time.Duration) (*daemon, http.Handler) {
-	return newDaemonQuality(srv, defaultDeadline, hunipu.Exact())
-}
-
-// newDaemonQuality is newDaemon with a -quality default for requests
-// that send no quality field.
-func newDaemonQuality(srv *serve.Server, defaultDeadline time.Duration, defaultQuality hunipu.Quality) (*daemon, http.Handler) {
-	d := &daemon{srv: srv, defaultDeadline: defaultDeadline, defaultQuality: defaultQuality}
+// newDaemon wires the mux; defaultQuality serves requests that send no
+// quality field. The returned handler is what hunipud listens on and
+// what the tests drive via httptest.
+func newDaemon(srv *serve.Server, defaultQuality hunipu.Quality) http.Handler {
+	d := &daemon{srv: srv, defaultQuality: defaultQuality}
 	activeServer.Store(srv)
 	publishVars()
 	mux := http.NewServeMux()
@@ -398,7 +342,7 @@ func newDaemonQuality(srv *serve.Server, defaultDeadline time.Duration, defaultQ
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /readyz", d.handleReadyz)
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	return d, mux
+	return mux
 }
 
 func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -438,13 +382,9 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := r.Context()
-	deadline := d.defaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
 	res, err := d.srv.Submit(ctx, serve.Request{
@@ -499,7 +439,10 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 }
 
 func run() error {
-	f := parseFlags()
+	f, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
+	}
 	// Rebound the compiled-program cache before the first solve so a
 	// memory-tuned daemon never transiently holds more shapes than asked.
 	hunipu.SetProgramCacheCapacity(f.progcache)
@@ -515,15 +458,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	_, handler := newDaemonQuality(srv, f.deadline, quality)
-	httpSrv := &http.Server{Addr: f.addr, Handler: handler}
+	httpSrv := &http.Server{Addr: f.addr, Handler: newDaemon(srv, quality)}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("hunipud listening on %s (ladder %s, drain %v)", f.addr, f.devices, f.drain)
+		log.Printf("hunipud listening on %s (drain %v)", f.addr, f.drain)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,14 +18,13 @@ import (
 	"hunipu/internal/serve"
 )
 
-func newTestDaemon(t *testing.T, cfg serve.Config, defaultDeadline time.Duration) (*serve.Server, *httptest.Server) {
+func newTestDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, handler := newDaemon(srv, defaultDeadline)
-	ts := httptest.NewServer(handler)
+	ts := httptest.NewServer(newDaemon(srv, hunipu.Exact()))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -48,7 +49,7 @@ func postSolve(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 }
 
 func TestSolveEndpoint(t *testing.T) {
-	_, ts := newTestDaemon(t, serve.Config{Workers: 2}, 0)
+	_, ts := newTestDaemon(t, serve.Config{Workers: 2})
 	resp, raw := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
@@ -66,7 +67,7 @@ func TestSolveEndpoint(t *testing.T) {
 }
 
 func TestSolveEndpointErrors(t *testing.T) {
-	_, ts := newTestDaemon(t, serve.Config{Workers: 1, SeedCostPerCell: time.Millisecond}, 0)
+	_, ts := newTestDaemon(t, serve.Config{Workers: 1, SeedCostPerCell: time.Millisecond})
 	cases := []struct {
 		name, body string
 		wantStatus int
@@ -97,7 +98,7 @@ func TestSolveEndpointErrors(t *testing.T) {
 // TestSolveBodyTooLarge: a body one byte past the limit is answered
 // 413, not 400; it is too long, not malformed.
 func TestSolveBodyTooLarge(t *testing.T) {
-	_, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	_, ts := newTestDaemon(t, serve.Config{Workers: 1})
 	head, tail := `{"costs":[[1]]`, `}`
 	body := io.MultiReader(strings.NewReader(head),
 		io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(head)+len(tail))),
@@ -124,7 +125,7 @@ func (spaces) Read(p []byte) (int, error) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	srv, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	srv, ts := newTestDaemon(t, serve.Config{Workers: 1})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -170,7 +171,7 @@ func TestReadyzAllBreakersOpen(t *testing.T) {
 		Devices: []hunipu.Device{hunipu.DeviceIPU},
 		Breaker: serve.BreakerConfig{Window: 2, Failures: 2, OpenFor: time.Hour},
 		Inject:  map[hunipu.Device]faultinject.Injector{hunipu.DeviceIPU: sched},
-	}, 0)
+	})
 	body := `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`
 	for i := 0; i < 2; i++ {
 		resp, _ := postSolve(t, ts, body)
@@ -196,7 +197,7 @@ func TestReadyzAllBreakersOpen(t *testing.T) {
 }
 
 func TestDebugVars(t *testing.T) {
-	_, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	_, ts := newTestDaemon(t, serve.Config{Workers: 1})
 	if resp, _ := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve = %d", resp.StatusCode)
 	}
@@ -221,7 +222,7 @@ func TestDebugVars(t *testing.T) {
 // through the serving layer: a served IPU solve is at least one cache
 // acquisition, so hits+misses must be positive in Vars.
 func TestProgcacheVars(t *testing.T) {
-	srv, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	srv, ts := newTestDaemon(t, serve.Config{Workers: 1})
 	for i := 0; i < 2; i++ {
 		if resp, _ := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`); resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d = %d", i, resp.StatusCode)
@@ -239,28 +240,84 @@ func TestProgcacheVars(t *testing.T) {
 	}
 }
 
-func TestGuardFlag(t *testing.T) {
-	f := &flags{devices: "ipu,cpu", guard: "invariants"}
+// parseTestFlags parses args as the daemon's command line.
+func parseTestFlags(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("hunipud", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// TestDaemonFlags parses the command line hunipubench's served
+// workloads start the daemon with (its daemonArgs, after -addr) and
+// checks the serve.Config it yields. Every flag that was removed for
+// want of a user must be rejected, not silently ignored.
+func TestDaemonFlags(t *testing.T) {
+	f, err := parseTestFlags("-addr", "127.0.0.1:0", "-workers", "2", "-queue", "64", "-brownout", "0.01,0.05,0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.addr != "127.0.0.1:0" {
+		t.Fatalf("addr = %q", f.addr)
+	}
 	cfg, err := f.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Guard != hunipu.GuardInvariants {
-		t.Fatalf("Guard = %v, want invariants", cfg.Guard)
+	if cfg.Workers != 2 || cfg.QueueDepth != 64 || cfg.Retries != 2 {
+		t.Fatalf("Workers %d QueueDepth %d Retries %d, want 2, 64, 2", cfg.Workers, cfg.QueueDepth, cfg.Retries)
 	}
-	f.guard = "bogus"
-	if _, err := f.serverConfig(); err == nil {
-		t.Fatal("-guard bogus accepted")
+	// An empty ladder is serve's default, IPU → GPU → CPU.
+	if cfg.Devices != nil {
+		t.Fatalf("Devices = %v, want serve's default ladder", cfg.Devices)
+	}
+	if want := []float64{0.01, 0.05, 0.1}; !slices.Equal(cfg.BrownoutTiers, want) {
+		t.Fatalf("BrownoutTiers = %v, want %v", cfg.BrownoutTiers, want)
+	}
+	if cfg.Guard != hunipu.GuardOff || cfg.GuardSet || cfg.Inject != nil || cfg.Shards != 0 {
+		t.Fatalf("config %+v, want no guard, injector or fabric", cfg)
+	}
+	q, err := f.defaultQuality()
+	if err != nil || q != hunipu.Exact() {
+		t.Fatalf("defaultQuality = %v, %v, want exact", q, err)
+	}
+	for _, removed := range []string{"-devices=cpu", "-backoff=5ms", "-latency-budget=1s",
+		"-breaker-window=8", "-breaker-failures=4", "-breaker-open=2s", "-deadline=1s", "-faults-gpu=reset at=1"} {
+		if _, err := parseTestFlags(removed); err == nil {
+			t.Errorf("%s accepted", removed)
+		}
 	}
 }
 
-func TestParseDevices(t *testing.T) {
-	got, err := parseDevices("cpu, gpu")
-	if err != nil || len(got) != 2 || got[0] != hunipu.DeviceCPU || got[1] != hunipu.DeviceGPU {
-		t.Fatalf("parseDevices = %v, %v", got, err)
+// TestGuardFlag: -guard sets the policy, and only an explicit -guard
+// (off included) forces it through to sharded solves.
+func TestGuardFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want hunipu.GuardPolicy
+		set  bool
+	}{
+		{nil, hunipu.GuardOff, false},
+		{[]string{"-guard", "off"}, hunipu.GuardOff, true},
+		{[]string{"-guard", "invariants"}, hunipu.GuardInvariants, true},
+	} {
+		f, err := parseTestFlags(tc.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.serverConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Guard != tc.want || cfg.GuardSet != tc.set {
+			t.Fatalf("%v: Guard = %v GuardSet = %v, want %v %v", tc.args, cfg.Guard, cfg.GuardSet, tc.want, tc.set)
+		}
 	}
-	if _, err := parseDevices("tpu"); err == nil {
-		t.Fatal("parseDevices accepted tpu")
+	f, err := parseTestFlags("-guard", "bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.serverConfig(); err == nil {
+		t.Fatal("-guard bogus accepted")
 	}
 }
 
@@ -269,7 +326,7 @@ func TestParseDevices(t *testing.T) {
 // and a certified gap within ε, and a malformed spec is a client
 // error.
 func TestBoundedQualityEndpoint(t *testing.T) {
-	_, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
+	_, ts := newTestDaemon(t, serve.Config{Workers: 1})
 	resp, raw := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]],"quality":"bounded(0.1)","key":"stream-a"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
@@ -301,32 +358,30 @@ func TestBoundedQualityEndpoint(t *testing.T) {
 // -brownout becomes the serve ladder, -quality the per-request
 // default, and malformed specs fail startup.
 func TestQualityAndBrownoutFlags(t *testing.T) {
-	f := &flags{devices: "cpu", guard: "off", brownout: "0.01, 0.05,0.1"}
+	f, err := parseTestFlags("-brownout", "0.01, 0.05,0.1", "-quality", "bounded(0.05)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg, err := f.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.01, 0.05, 0.1}
-	if len(cfg.BrownoutTiers) != len(want) {
+	if want := []float64{0.01, 0.05, 0.1}; !slices.Equal(cfg.BrownoutTiers, want) {
 		t.Fatalf("BrownoutTiers = %v, want %v", cfg.BrownoutTiers, want)
 	}
-	for i := range want {
-		if cfg.BrownoutTiers[i] != want[i] {
-			t.Fatalf("BrownoutTiers = %v, want %v", cfg.BrownoutTiers, want)
-		}
-	}
-	f.brownout = "0.01,zero"
-	if _, err := f.serverConfig(); err == nil {
-		t.Fatal("-brownout zero accepted")
-	}
-	f.brownout = ""
-	f.quality = "bounded(0.05)"
 	q, err := f.defaultQuality()
 	if err != nil || !q.IsBounded() || q.Epsilon() != 0.05 {
 		t.Fatalf("defaultQuality = %v, %v", q, err)
 	}
-	f.quality = "approx"
-	if _, err := f.defaultQuality(); err == nil {
-		t.Fatal("-quality approx accepted")
+	for _, args := range [][]string{{"-brownout", "0.01,zero"}, {"-quality", "approx"}, {"-faults-ipu", "bogus"}} {
+		f, err := parseTestFlags(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := f.serverConfig()
+		_, qerr := f.defaultQuality()
+		if cerr == nil && qerr == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

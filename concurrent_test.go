@@ -109,7 +109,7 @@ func runOne(i int, costs [][]float64, want float64) error {
 		opts = []hunipu.Option{
 			hunipu.OnIPU(),
 			hunipu.WithFaultSchedule(fmt.Sprintf("seed=%d; exchange every=3 p=0.5 times=2", i)),
-			hunipu.WithRecovery(4, time.Microsecond),
+			hunipu.WithRecovery(4),
 		}
 	case 2: // hard resets pushed down the fallback ladder
 		opts = append(opts,
@@ -126,7 +126,7 @@ func runOne(i int, costs [][]float64, want float64) error {
 	case 4: // recovery AND fallback layered together
 		opts = append(opts,
 			hunipu.WithFaultSchedule(fmt.Sprintf("seed=%d; memory every=5 p=0.3 times=3", i)),
-			hunipu.WithRecovery(2, time.Microsecond),
+			hunipu.WithRecovery(2),
 			hunipu.WithFallback(ladderExcluding(primary)...))
 	}
 
@@ -162,7 +162,7 @@ func TestConcurrentSharedScheduleIsolated(t *testing.T) {
 			defer wg.Done()
 			res, err := hunipu.SolveContext(context.Background(), costs,
 				hunipu.WithFaultSchedule("exchange every=2 times=1"),
-				hunipu.WithRecovery(2, time.Microsecond))
+				hunipu.WithRecovery(2))
 			if err != nil {
 				t.Errorf("solve: %v", err)
 				return

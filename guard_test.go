@@ -72,7 +72,7 @@ func TestScheduleCarriedGuardClause(t *testing.T) {
 	}
 	res, err := Solve(costs,
 		WithFaultSchedule("seed=4; guard=invariants; bitflip after=10 every=1 times=1 phase=s1_*"),
-		WithRecovery(3, 0),
+		WithRecovery(3),
 	)
 	if err != nil {
 		// Detection without recovery must still be typed.

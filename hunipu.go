@@ -74,7 +74,6 @@ type config struct {
 	faultErr  error
 	injectors map[Device]faultinject.Injector
 	retries   int
-	backoff   time.Duration
 	guard     GuardPolicy
 	guardSet  bool
 

@@ -161,7 +161,7 @@ func RunBoundedChaos(cfg BoundedChaosConfig) (*BoundedChaosReport, error) {
 					hunipu.WithIPUOptions(core.Options{Config: smallIPU(), MaxSupersteps: 20000}),
 					hunipu.WithQuality(hunipu.Bounded(eps)),
 					hunipu.WithInjector(hunipu.DeviceIPU, clone),
-					hunipu.WithRecovery(cfg.Retries, 0),
+					hunipu.WithRecovery(cfg.Retries),
 				)
 				repro := func(why string) string {
 					return fmt.Sprintf("ε=%g n=%d schedule %q: %s", eps, in.m.N, sched.String(), why)

@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"hunipu/internal/faultinject"
 	"hunipu/internal/ipu"
@@ -92,10 +91,6 @@ type Options struct {
 	// poplar.DefaultCheckpointEvery.
 	CheckpointEvery int64
 
-	// RetryBackoff is the initial wait before a retry, doubling per
-	// attempt. 0 retries immediately.
-	RetryBackoff time.Duration
-
 	// Cache is the compiled-program cache this solver draws from. Nil
 	// selects the process-wide DefaultCache, which is what applications
 	// want: every same-fingerprint solve in the process then shares one
@@ -150,9 +145,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CheckpointEvery < 0 {
 		return o, fmt.Errorf("core: CheckpointEvery = %d, want ≥ 0", o.CheckpointEvery)
-	}
-	if o.RetryBackoff < 0 {
-		return o, fmt.Errorf("core: RetryBackoff = %v, want ≥ 0", o.RetryBackoff)
 	}
 	if o.MinIPUs < 0 || o.MinIPUs > o.Config.IPUs {
 		return o, fmt.Errorf("core: MinIPUs = %d, want in [0, %d]", o.MinIPUs, o.Config.IPUs)

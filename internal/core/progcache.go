@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"time"
 
 	"hunipu/internal/faultinject"
 	"hunipu/internal/ipu"
@@ -44,7 +43,6 @@ type programKey struct {
 
 	guard           poplar.GuardPolicy
 	maxRetries      int
-	retryBackoff    time.Duration
 	checkpointEvery int64
 	maxSupersteps   int64
 
@@ -73,9 +71,9 @@ func (k programKey) Fingerprint() string {
 	if k.minIPUs > 0 {
 		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d fault=%s%s%s",
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d cp=%d maxss=%d fault=%s%s%s",
 		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow,
-		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
+		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries,
 		k.checkpointEvery, k.maxSupersteps, fault, fabric, private)
 }
 
@@ -147,7 +145,6 @@ func (s *Solver) keyFor(n int, lost uint64) programKey {
 		epsilon:            o.Epsilon,
 		guard:              o.Guard,
 		maxRetries:         o.MaxRetries,
-		retryBackoff:       o.RetryBackoff,
 		checkpointEvery:    o.CheckpointEvery,
 		maxSupersteps:      o.MaxSupersteps,
 		minIPUs:            o.MinIPUs,
@@ -199,7 +196,7 @@ func (s *Solver) compileProgram(n int, lost uint64) (*CompiledProgram, error) {
 		dev.SetInjector(o.Fault)
 	}
 	engOpts := []poplar.EngineOption{
-		poplar.WithRetry(s.opts.MaxRetries, s.opts.RetryBackoff),
+		poplar.WithRetry(s.opts.MaxRetries),
 	}
 	if s.opts.Guard != poplar.GuardOff {
 		engOpts = append(engOpts, poplar.WithGuard(s.opts.Guard))

@@ -282,7 +282,7 @@ func (s *Solver) compile(n int) (*program, error) {
 		dev.SetInjector(s.opts.Fault)
 	}
 	engOpts := []poplar.EngineOption{
-		poplar.WithRetry(s.opts.MaxRetries, 0),
+		poplar.WithRetry(s.opts.MaxRetries),
 	}
 	if s.opts.MaxSupersteps != 0 {
 		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"hunipu/internal/ipu"
 )
@@ -66,7 +65,6 @@ type Engine struct {
 	// Recovery state (see recovery.go).
 	ctx          context.Context
 	retries      int
-	backoff      time.Duration
 	cpEvery      int64 // configured cadence (0 = auto)
 	cpLive       int64 // effective cadence for the current run
 	steps        int64 // leaf steps executed this attempt (incl. replayed)

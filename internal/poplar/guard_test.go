@@ -33,7 +33,7 @@ func TestGuardPolicyParseRoundTrip(t *testing.T) {
 // epoch, and re-execution produces the exact fault-free result.
 func TestGuardChecksumDetectsTileBitflip(t *testing.T) {
 	got, rep, err := runCountdown(t, 20, "bitflip at=6",
-		WithRetry(3, 0), WithCheckpointEvery(4), WithGuard(GuardChecksums))
+		WithRetry(3), WithCheckpointEvery(4), WithGuard(GuardChecksums))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestGuardChecksumDetectsTileBitflip(t *testing.T) {
 // engine level: with the guard off the same flip sails through with no
 // error and a wrong sum — only an external attestation could notice.
 func TestGuardOffMissesSilentCorruption(t *testing.T) {
-	got, rep, err := runCountdown(t, 20, "bitflip at=6", WithRetry(3, 0))
+	got, rep, err := runCountdown(t, 20, "bitflip at=6", WithRetry(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGuardOffMissesSilentCorruption(t *testing.T) {
 // update, caught by the next full verify.
 func TestGuardExchangeBitflipDetected(t *testing.T) {
 	got, rep, err := runCountdown(t, 20, "exbitflip at=6",
-		WithRetry(3, 0), WithCheckpointEvery(4), WithGuard(GuardChecksums))
+		WithRetry(3), WithCheckpointEvery(4), WithGuard(GuardChecksums))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGuardExchangeBitflipDetected(t *testing.T) {
 // after the last cadence boundary must not ride out on a clean return.
 func TestGuardTailVerifyCatchesLateFlip(t *testing.T) {
 	got, rep, err := runCountdown(t, 10, "bitflip at=9",
-		WithRetry(3, 0), WithCheckpointEvery(64), WithGuard(GuardChecksums))
+		WithRetry(3), WithCheckpointEvery(64), WithGuard(GuardChecksums))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGuardTailVerifyCatchesLateFlip(t *testing.T) {
 // still exact.
 func TestStaleReadInvisibleToChecksums(t *testing.T) {
 	got, rep, err := runCountdown(t, 20, "stale at=6",
-		WithRetry(3, 0), WithCheckpointEvery(4), WithGuard(GuardChecksums))
+		WithRetry(3), WithCheckpointEvery(4), WithGuard(GuardChecksums))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestInvariantProbeTripsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetInjector(sched)
-	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(4), WithGuard(GuardInvariants), WithRetry(2, 0))
+	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(4), WithGuard(GuardInvariants), WithRetry(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestInvariantProbeTripsTyped(t *testing.T) {
 func TestAlwaysFailingProbeExhaustsAsCorruption(t *testing.T) {
 	g, counter, acc, pred, prog := newCountdown()
 	dev := newDev(t, smallCfg())
-	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(4), WithGuard(GuardInvariants), WithRetry(1, 0))
+	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(4), WithGuard(GuardInvariants), WithRetry(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRollbackPastPoisonDiscardsEpochs(t *testing.T) {
 // of an untyped "non-terminating program" error.
 func TestWatchdogConvertsWedgedLoop(t *testing.T) {
 	_, rep, err := runCountdown(t, 5, "stale every=1 times=-1",
-		WithRetry(2, 0), WithCheckpointEvery(4), WithGuard(GuardChecksums),
+		WithRetry(2), WithCheckpointEvery(4), WithGuard(GuardChecksums),
 		WithMaxSupersteps(200))
 	ce, ok := faultinject.AsCorruption(err)
 	if !ok {
@@ -263,7 +263,7 @@ func TestWatchdogConvertsWedgedLoop(t *testing.T) {
 // verdict.
 func TestGuardOffWedgedLoopStaysUntyped(t *testing.T) {
 	_, _, err := runCountdown(t, 5, "stale every=1 times=-1",
-		WithRetry(2, 0), WithCheckpointEvery(4), WithMaxSupersteps(200))
+		WithRetry(2), WithCheckpointEvery(4), WithMaxSupersteps(200))
 	if err == nil {
 		t.Fatal("wedged loop terminated?")
 	}
@@ -280,7 +280,7 @@ func TestGuardOffWedgedLoopStaysUntyped(t *testing.T) {
 func TestCheckpointRingBounded(t *testing.T) {
 	g, counter, acc, pred, prog := newCountdown()
 	dev := newDev(t, smallCfg())
-	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(2), WithRetry(1, 0))
+	eng, err := NewEngine(g, prog, dev, WithCheckpointEvery(2), WithRetry(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestGuardAttributesChip(t *testing.T) {
 		}
 		dev.SetInjector(sched)
 		eng, err := NewEngine(g, Repeat(16, Execute(cs)), dev,
-			WithGuard(GuardChecksums), WithCheckpointEvery(4), WithRetry(retries, 0))
+			WithGuard(GuardChecksums), WithCheckpointEvery(4), WithRetry(retries))
 		if err != nil {
 			t.Fatal(err)
 		}

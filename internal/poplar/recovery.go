@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"hunipu/internal/faultinject"
 )
@@ -16,15 +15,13 @@ import (
 const DefaultCheckpointEvery = 32
 
 // WithRetry enables transient-fault recovery: up to n retries, each
-// resuming from the last checkpoint, with the given initial backoff
-// (doubled per retry; zero disables the wait, which tests want).
-func WithRetry(n int, backoff time.Duration) EngineOption {
+// resuming from the last checkpoint at once. Faults fire on the
+// superstep clock, not the wall clock, so waiting before a retry would
+// change no outcome and only spend the caller's deadline.
+func WithRetry(n int) EngineOption {
 	return func(e *Engine) {
 		if n >= 0 {
 			e.retries = n
-		}
-		if backoff > 0 {
-			e.backoff = backoff
 		}
 	}
 }
@@ -331,20 +328,6 @@ func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out 
 		}
 	}
 
-	backoff := e.backoff
-	wait := func() error {
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-			backoff *= 2
-		}
-		return nil
-	}
 	for attempt := 0; ; attempt++ {
 		err := e.program.exec(e)
 		if err == nil && e.guard != GuardOff {
@@ -367,9 +350,6 @@ func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out 
 				return nil, err
 			}
 			e.report.Retries++
-			if werr := wait(); werr != nil {
-				return nil, werr
-			}
 			// Certified rollback: discard poisoned epochs, resume from the
 			// newest one that still validates.
 			if rbErr := e.rollbackPastPoison(ce); rbErr != nil {
@@ -381,9 +361,6 @@ func (e *Engine) run(ctx context.Context, from *Checkpoint, handBack bool) (out 
 			return nil, err
 		}
 		e.report.Retries++
-		if werr := wait(); werr != nil {
-			return nil, werr
-		}
 		e.restoreCheckpoint(e.cps[len(e.cps)-1])
 		e.rebaselineChecksums()
 		e.resetProbes()
@@ -437,7 +414,6 @@ func (e *Engine) HostRead(t *Tensor) ([]float64, error) {
 }
 
 func (e *Engine) hostTransfer(phase string, kind faultinject.Kind, do func()) error {
-	backoff := e.backoff
 	for attempt := 0; ; attempt++ {
 		fe := e.dev.CheckFault(phase, kind)
 		if fe == nil {
@@ -448,9 +424,5 @@ func (e *Engine) hostTransfer(phase string, kind faultinject.Kind, do func()) er
 			return fe
 		}
 		e.report.Retries++
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
 	}
 }

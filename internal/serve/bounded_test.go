@@ -200,17 +200,16 @@ func TestBoundedRequestHonoured(t *testing.T) {
 	}
 }
 
-// TestQueuePressureBrownout: a queue filled past the brownout fraction
+// TestQueuePressureBrownout: a queue filled to the brownout fraction
 // degrades exact requests to the first tier even with no deadline.
 func TestQueuePressureBrownout(t *testing.T) {
 	g := newGate()
 	s := newTestServer(t, Config{
-		Devices:               []hunipu.Device{hunipu.DeviceIPU},
-		Workers:               1,
-		QueueDepth:            4,
-		BrownoutTiers:         []float64{0.1},
-		BrownoutQueueFraction: 0.5,
-		Inject:                map[hunipu.Device]faultinject.Injector{hunipu.DeviceIPU: g},
+		Devices:       []hunipu.Device{hunipu.DeviceIPU},
+		Workers:       1,
+		QueueDepth:    4,
+		BrownoutTiers: []float64{0.1},
+		Inject:        map[hunipu.Device]faultinject.Injector{hunipu.DeviceIPU: g},
 	})
 	results := make(chan *hunipu.Result, 5)
 	errs := make(chan error, 5)
@@ -225,7 +224,9 @@ func TestQueuePressureBrownout(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("first solve never reached the gate")
 	}
-	// Fill the queue past 0.5×4 = 2 while the worker is held.
+	// Fill the queue while the worker is held: its next dequeue leaves
+	// 3 = 0.75×4 requests queued behind it, so that one runs under
+	// pressure.
 	for i := int64(2); i <= 5; i++ {
 		go submit(i)
 	}

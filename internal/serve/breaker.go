@@ -41,8 +41,7 @@ type BreakerConfig struct {
 	// 0 means 8.
 	Window int
 	// Failures trips the breaker when at least this many of the
-	// windowed outcomes are failures (hard faults or latency-budget
-	// violations). 0 means 4.
+	// windowed outcomes are failed attempts. 0 means 4.
 	Failures int
 	// OpenFor is how long a tripped breaker routes around its device
 	// before half-opening for a canary probe. 0 means 2s.

@@ -12,7 +12,8 @@ import (
 // meet. The model is deliberately simple: per (device, quality tier),
 // an EWMA of observed wall time normalised by n² (the per-device work
 // of one parallel Hungarian phase sweep; the outer-loop count varies
-// per instance, which the EWMA absorbs). It starts from a configured
+// per instance, which the EWMA absorbs). n is the padded size
+// max(rows, cols) that every device actually solves. It starts from a configured
 // optimistic seed so a cold server admits rather than sheds, and
 // converges onto the deployment's real hardware within a few solves.
 //

@@ -61,9 +61,8 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// ErrOverloaded.
 	QueueDepth int
-	// Retries and Backoff arm hunipu.WithRecovery on every solve.
+	// Retries arms hunipu.WithRecovery on every solve.
 	Retries int
-	Backoff time.Duration
 	// Guard arms hunipu.WithGuard on every solve: silent-corruption
 	// detection, certified rollback, and output attestation on the IPU
 	// rungs of the ladder. The zero value leaves the guard to any
@@ -83,10 +82,6 @@ type Config struct {
 	// surface in the shard_* expvar counters.
 	Shards          int
 	MinShardDevices int
-	// LatencyBudget, when positive, marks any serving attempt slower
-	// than this as a breaker failure signal even though the client
-	// still gets its answer.
-	LatencyBudget time.Duration
 	// Breaker tunes the per-device circuit breakers.
 	Breaker BreakerConfig
 	// SeedCostPerCell seeds the admission cost model (wall time per
@@ -106,16 +101,16 @@ type Config struct {
 	// strictest listed tier that still fits (bounded solves terminate
 	// early and are certified within their ε — see hunipu.WithQuality);
 	// only when not even the loosest tier fits is it shed with
-	// ErrDeadlineTooShort. Queue pressure (see BrownoutQueueFraction)
+	// ErrDeadlineTooShort. A queue filled to brownoutQueueFraction
 	// degrades exact requests to the first tier pre-emptively. Empty
 	// disables brownouts: requests run exactly at their requested tier.
 	BrownoutTiers []float64
-	// BrownoutQueueFraction is the queue fill fraction above which the
-	// controller starts degrading exact requests to BrownoutTiers[0]
-	// even with a comfortable deadline. 0 means 0.75; ≥ 1 disables
-	// pressure-triggered brownouts (deadline-triggered ones remain).
-	BrownoutQueueFraction float64
 }
+
+// brownoutQueueFraction is the queue fill fraction at which the
+// brownout controller degrades exact requests to BrownoutTiers[0] even
+// with a comfortable deadline.
+const brownoutQueueFraction = 0.75
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
@@ -137,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	if c.BrownoutQueueFraction == 0 {
-		c.BrownoutQueueFraction = 0.75
-	}
 	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
@@ -148,8 +140,19 @@ func (c Config) withDefaults() Config {
 type item struct {
 	ctx  context.Context
 	req  Request
-	n    int
+	n    int          // the padded size admission priced: max(rows, cols)
 	done chan outcome // buffered; the worker never blocks on it
+}
+
+// shape returns a request's row and column counts. hunipu pads a
+// rows×cols matrix to a max(rows, cols) square, so that is the size
+// every solve is priced and observed at; the warm cache keys on the
+// shape itself.
+func shape(costs [][]float64) (rows, cols int) {
+	if len(costs) > 0 {
+		cols = len(costs[0])
+	}
+	return len(costs), cols
 }
 
 type outcome struct {
@@ -180,7 +183,7 @@ type Server struct {
 // New validates the configuration and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Workers < 0 || cfg.QueueDepth < 0 || cfg.Retries < 0 || cfg.Backoff < 0 {
+	if cfg.Workers < 0 || cfg.QueueDepth < 0 || cfg.Retries < 0 {
 		return nil, fmt.Errorf("serve: negative config field: %+v", cfg)
 	}
 	if err := cfg.Breaker.validate(); err != nil {
@@ -191,9 +194,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MinShardDevices < 0 || (cfg.MinShardDevices > 0 && cfg.Shards == 0) || cfg.MinShardDevices > cfg.Shards {
 		return nil, fmt.Errorf("serve: MinShardDevices = %d with Shards = %d, want in [0, Shards] and Shards set", cfg.MinShardDevices, cfg.Shards)
-	}
-	if cfg.BrownoutQueueFraction < 0 {
-		return nil, fmt.Errorf("serve: BrownoutQueueFraction = %g, want ≥ 0", cfg.BrownoutQueueFraction)
 	}
 	for i, eps := range cfg.BrownoutTiers {
 		if math.IsNaN(eps) || math.IsInf(eps, 0) || eps <= 0 {
@@ -320,7 +320,7 @@ func (s *Server) qualityLadder(req hunipu.Quality) []hunipu.Quality {
 // chooseQuality is the brownout controller's gate, run at dequeue time
 // against the *remaining* deadline: it returns the strictest tier of
 // the request's ladder whose modeled cost still fits. Queue pressure
-// above BrownoutQueueFraction skips the requested tier of an exact
+// at brownoutQueueFraction skips the requested tier of an exact
 // request (degrading it to the first brownout rung) even when the
 // deadline is comfortable. ok is false when not even the loosest tier
 // fits — the caller sheds with ErrDeadlineTooShort rather than burn a
@@ -343,13 +343,10 @@ func (s *Server) chooseQuality(req hunipu.Quality, n int, remaining time.Duratio
 	return hunipu.Quality{}, false
 }
 
-// underPressure reports whether the admission queue is filled past the
+// underPressure reports whether the admission queue is filled to the
 // brownout fraction.
 func (s *Server) underPressure() bool {
-	if s.cfg.BrownoutQueueFraction >= 1 || s.cfg.QueueDepth == 0 {
-		return false
-	}
-	return float64(len(s.queue)) >= s.cfg.BrownoutQueueFraction*float64(s.cfg.QueueDepth)
+	return float64(len(s.queue)) >= brownoutQueueFraction*float64(s.cfg.QueueDepth)
 }
 
 // Submit admits, queues, and executes one request, blocking until the
@@ -360,7 +357,8 @@ func (s *Server) Submit(ctx context.Context, req Request) (*hunipu.Result, error
 		s.metrics.ShedDraining.Add(1)
 		return nil, ErrDraining
 	}
-	n := len(req.Costs)
+	rows, cols := shape(req.Costs)
+	n := max(rows, cols)
 	if deadline, ok := ctx.Deadline(); ok {
 		// Arrival fast-path: shed only requests not even the *loosest*
 		// admissible tier could serve in time. The binding check runs
@@ -481,7 +479,7 @@ func (s *Server) process(it *item) {
 		opts = append(opts, hunipu.WithFallback(rest...))
 	}
 	if s.cfg.Retries > 0 {
-		opts = append(opts, hunipu.WithRecovery(s.cfg.Retries, s.cfg.Backoff))
+		opts = append(opts, hunipu.WithRecovery(s.cfg.Retries))
 	}
 	if s.cfg.GuardSet || s.cfg.Guard != hunipu.GuardOff {
 		opts = append(opts, hunipu.WithGuard(s.cfg.Guard))
@@ -501,10 +499,7 @@ func (s *Server) process(it *item) {
 	if quality.IsBounded() {
 		opts = append(opts, hunipu.WithQuality(quality))
 	}
-	rows, cols := it.n, 0
-	if rows > 0 {
-		cols = len(it.req.Costs[0])
-	}
+	rows, cols := shape(it.req.Costs)
 	if prior := s.warm.get(it.req.Key, rows, cols); prior != nil {
 		opts = append(opts, hunipu.WithWarmStart(prior.U, prior.V))
 		s.metrics.WarmStarts.Add(1)
@@ -537,12 +532,12 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 			attempts[a.Device] = a
 			// Fabric telemetry: sharded attempts report lost chips and
 			// re-shardings whether or not the attempt served.
-			if a.ShardDetail != nil {
+			if f := a.ShardDetail; f != nil {
 				s.metrics.ShardSolves.Add(1)
-				s.metrics.DevicesLost.Add(int64(len(a.LostDevices)))
-				s.metrics.Reshards.Add(int64(a.Reshards))
+				s.metrics.DevicesLost.Add(int64(len(f.Lost)))
+				s.metrics.Reshards.Add(int64(f.Reshards))
 				s.metrics.ShardRollbacks.Add(int64(a.Retries))
-				s.metrics.Quarantined.Add(int64(len(a.QuarantinedDevices)))
+				s.metrics.Quarantined.Add(int64(len(f.Quarantined)))
 			}
 			// Guard telemetry: an attempt's recovery report counts every
 			// detection, the terminal one included. A failed single-chip
@@ -567,8 +562,7 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 		case !tried:
 			s.breakers[p.dev].release(p.probe)
 		case att.Err == nil:
-			slow := s.cfg.LatencyBudget > 0 && att.Wall > s.cfg.LatencyBudget
-			s.breakers[p.dev].record(p.probe, slow)
+			s.breakers[p.dev].record(p.probe, false)
 			s.metrics.Served[devIdx(p.dev)].Add(1)
 			bounded := att.Quality.IsBounded() && att.Quality.Epsilon() > 0
 			s.model.Observe(p.dev, n, att.Wall, bounded)

@@ -12,16 +12,18 @@ import (
 	"hunipu/internal/faultinject"
 )
 
-// testCosts draws a deterministic dense instance.
-func testCosts(n int, seed int64) [][]float64 {
+// testCosts draws a deterministic dense n×n instance.
+func testCosts(n int, seed int64) [][]float64 { return testRectCosts(n, n, seed) }
+
+// testRectCosts draws a deterministic dense rows×cols instance.
+func testRectCosts(rows, cols int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
-	costs := make([][]float64, n)
+	costs := make([][]float64, rows)
 	for i := range costs {
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = float64(rng.Intn(1000))
+		costs[i] = make([]float64, cols)
+		for j := range costs[i] {
+			costs[i][j] = float64(rng.Intn(1000))
 		}
-		costs[i] = row
 	}
 	return costs
 }
@@ -189,6 +191,36 @@ func TestCostModelLearnsFromTraffic(t *testing.T) {
 	learned := s.model.Estimate(hunipu.DeviceIPU, 16, false)
 	if learned == seeded {
 		t.Fatalf("estimate unchanged after 3 observations: %v", learned)
+	}
+}
+
+// TestRectangularRequestPricedPadded: hunipu solves a rows×cols matrix
+// padded to a max(rows, cols) square, so admission must price it, and
+// the cost model learn from it, at that size rather than its row count.
+func TestRectangularRequestPricedPadded(t *testing.T) {
+	s := newTestServer(t, Config{
+		Devices:         []hunipu.Device{hunipu.DeviceCPU},
+		Workers:         1,
+		SeedCostPerCell: time.Millisecond, // n=16 → 256ms, n=64 → 4.1s
+	})
+	// A 2×16 request is a 16×16 solve: a 10ms deadline cannot cover it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := s.Submit(ctx, Request{Costs: testRectCosts(2, 16, 1)}); !errors.Is(err, ErrDeadlineTooShort) {
+		t.Fatalf("2×16 with 10ms: err = %v, want ErrDeadlineTooShort", err)
+	}
+	// Five 2×64 solves are observed at n=64: the n=64 estimate becomes
+	// a weighted mean of their walls instead of 64²/2² = 1024 times one.
+	var slowest time.Duration
+	for seed := int64(1); seed <= 5; seed++ {
+		res, err := s.Submit(context.Background(), Request{Costs: testRectCosts(2, 64, seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slowest = max(slowest, res.Report.Attempts[len(res.Report.Attempts)-1].Wall)
+	}
+	if est := s.model.Estimate(hunipu.DeviceCPU, 64, false); est > slowest {
+		t.Fatalf("n=64 estimate %v after 2×64 solves, slowest of them took %v", est, slowest)
 	}
 }
 

@@ -285,7 +285,7 @@ func TestBoundedAttemptReportsRecovery(t *testing.T) {
 	costs := randomCosts(rand.New(rand.NewSource(58)), 24, 24, 1000)
 	for _, q := range []Quality{Exact(), Bounded(0.05)} {
 		res, err := Solve(costs, OnIPU(), WithQuality(q),
-			WithRecovery(2, 0), WithFaultSchedule("seed=1; exchange at=40"))
+			WithRecovery(2), WithFaultSchedule("seed=1; exchange at=40"))
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}

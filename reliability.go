@@ -14,8 +14,8 @@ import (
 )
 
 // ErrInvalidOption is wrapped by every option-validation failure
-// surfaced from Solve/SolveContext: negative retry budgets, negative
-// backoff, duplicate devices in the fallback chain, unknown devices.
+// surfaced from Solve/SolveContext: negative retry budgets, duplicate
+// devices in the fallback chain, unknown devices.
 // Match with errors.Is.
 var ErrInvalidOption = errors.New("invalid option")
 
@@ -71,14 +71,12 @@ func WithInjector(d Device, inj faultinject.Injector) Option {
 
 // WithRecovery enables transient-fault recovery on the simulated
 // devices: up to maxRetries resumes from the last superstep
-// checkpoint, with backoff doubling from the given initial wait.
-// Negative maxRetries or backoff are rejected with an error wrapping
+// checkpoint, each at once. Faults fire on the superstep clock, so a
+// wait before a retry would change no outcome, only spend the
+// deadline. A negative maxRetries is rejected with an error wrapping
 // ErrInvalidOption.
-func WithRecovery(maxRetries int, backoff time.Duration) Option {
-	return func(c *config) {
-		c.retries = maxRetries
-		c.backoff = backoff
-	}
+func WithRecovery(maxRetries int) Option {
+	return func(c *config) { c.retries = maxRetries }
 }
 
 // Attempt is one device try within a solve.
@@ -123,20 +121,14 @@ type Attempt struct {
 	IPUDetail *core.Result
 	// GPUDetail is the FastHA profile of a successful GPU attempt.
 	GPUDetail *fastha.Result
-	// LostDevices lists fabric indices of chips lost during a sharded
-	// IPU attempt (WithShards), in loss order; Reshards counts the moves
-	// onto the survivors that absorbed those losses.
-	// QuarantinedDevices lists the chips of LostDevices dropped because
-	// the guard kept catching them corrupting state. All three are
-	// populated on failed attempts too, so the Report shows what the
-	// fabric survived before the fallback ladder took over.
-	LostDevices        []int
-	Reshards           int
-	QuarantinedDevices []int
-	// ShardDetail is the fabric report of a sharded IPU attempt (chips
-	// at start and end, losses, quarantines); nil for unsharded
-	// attempts. Unlike IPUDetail it is populated even when the attempt
-	// failed.
+	// ShardDetail is the fabric report of a sharded IPU attempt
+	// (WithShards): chips at start and end, the chips lost in loss
+	// order, the moves onto the survivors that absorbed those losses,
+	// and the lost chips dropped because the guard kept catching them
+	// corrupting state. It is nil for unsharded attempts. Unlike
+	// IPUDetail it is populated even when the attempt failed, so the
+	// Report shows what the fabric survived before the fallback ladder
+	// took over.
 	ShardDetail *core.Fabric
 }
 
@@ -191,9 +183,6 @@ func (c *config) validate() error {
 	}
 	if c.retries < 0 {
 		return fmt.Errorf("hunipu: WithRecovery: maxRetries = %d, want ≥ 0: %w", c.retries, ErrInvalidOption)
-	}
-	if c.backoff < 0 {
-		return fmt.Errorf("hunipu: WithRecovery: backoff = %v, want ≥ 0: %w", c.backoff, ErrInvalidOption)
 	}
 	if !c.device.known() {
 		return fmt.Errorf("hunipu: unknown device %v: %w", c.device, ErrInvalidOption)
@@ -385,7 +374,6 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 		}
 		if c.retries > 0 {
 			o.MaxRetries = c.retries
-			o.RetryBackoff = c.backoff
 		}
 		if c.sharded {
 			o = c.shardOptions(o)
@@ -409,12 +397,7 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 			att.RollbackEpochs = r.Recovery.RollbackEpochs
 			att.DetectionLatency = r.Recovery.DetectionLatency
 			att.GuardCycles = r.Stats.GuardCycles
-			if f := r.Fabric; f != nil {
-				att.ShardDetail = f
-				att.LostDevices = f.Lost
-				att.Reshards = f.Reshards
-				att.QuarantinedDevices = f.Quarantined
-			}
+			att.ShardDetail = r.Fabric
 		}
 		if err != nil {
 			att.Err = err

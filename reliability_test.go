@@ -56,7 +56,7 @@ func TestTransientFaultSurvived(t *testing.T) {
 	}
 	res, err := Solve(costs,
 		WithFaultSchedule("seed=3; exchange after=5 every=1 times=1 phase=s1_*"),
-		WithRecovery(3, 0),
+		WithRecovery(3),
 	)
 	if err != nil {
 		t.Fatalf("solve did not survive transient fault: %v", err)
@@ -91,7 +91,7 @@ func TestHardFaultFallsBackToGPU(t *testing.T) {
 	}
 	res, err := Solve(costs,
 		WithFaultSchedule("reset every=1 times=-1 phase=s1_*"),
-		WithRecovery(2, 0),
+		WithRecovery(2),
 		WithFallback(DeviceGPU, DeviceCPU),
 	)
 	if err != nil {
@@ -232,8 +232,7 @@ func TestOptionValidation(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"negative retries", []Option{WithRecovery(-1, 0)}},
-		{"negative backoff", []Option{WithRecovery(2, -time.Second)}},
+		{"negative retries", []Option{WithRecovery(-1)}},
 		{"duplicate fallback", []Option{WithFallback(DeviceGPU, DeviceGPU)}},
 		{"fallback repeats primary", []Option{OnGPU(), WithFallback(DeviceCPU, DeviceGPU)}},
 		{"duplicate across calls", []Option{WithFallback(DeviceGPU), WithFallback(DeviceGPU)}},
@@ -249,7 +248,7 @@ func TestOptionValidation(t *testing.T) {
 		})
 	}
 	// The happy path must stay accepted.
-	if _, err := Solve(costs, WithRecovery(0, 0), WithFallback(DeviceGPU, DeviceCPU)); err != nil {
+	if _, err := Solve(costs, WithRecovery(0), WithFallback(DeviceGPU, DeviceCPU)); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }

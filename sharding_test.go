@@ -56,15 +56,18 @@ func TestShardedDeviceLossRecorded(t *testing.T) {
 	if res.Cost != clean.Cost {
 		t.Fatalf("post-loss cost = %g, fault-free cost = %g", res.Cost, clean.Cost)
 	}
-	att := res.Report.Attempts[0]
-	if len(att.LostDevices) != 1 || att.LostDevices[0] != 2 {
-		t.Fatalf("Attempt.LostDevices = %v, want [2]", att.LostDevices)
+	f := res.Report.Attempts[0].ShardDetail
+	if f == nil {
+		t.Fatal("Attempt.ShardDetail missing")
 	}
-	if att.Reshards != 1 {
-		t.Fatalf("Attempt.Reshards = %d, want 1", att.Reshards)
+	if len(f.Lost) != 1 || f.Lost[0] != 2 {
+		t.Fatalf("ShardDetail.Lost = %v, want [2]", f.Lost)
 	}
-	if att.ShardDetail.Survivors != 3 {
-		t.Fatalf("ShardDetail.Survivors = %d, want 3", att.ShardDetail.Survivors)
+	if f.Reshards != 1 {
+		t.Fatalf("ShardDetail.Reshards = %d, want 1", f.Reshards)
+	}
+	if f.Survivors != 3 {
+		t.Fatalf("ShardDetail.Survivors = %d, want 3", f.Survivors)
 	}
 }
 
@@ -91,8 +94,8 @@ func TestShardedFabricCollapseFallsBack(t *testing.T) {
 	if !errors.As(att.Err, &fe) {
 		t.Fatalf("IPU attempt error = %v, want *core.FabricError", att.Err)
 	}
-	if len(att.LostDevices) != 1 || att.LostDevices[0] != 1 || att.ShardDetail == nil {
-		t.Fatalf("failed attempt lost report: LostDevices=%v ShardDetail=%v", att.LostDevices, att.ShardDetail)
+	if f := att.ShardDetail; f == nil || len(f.Lost) != 1 || f.Lost[0] != 1 {
+		t.Fatalf("failed attempt lost report: ShardDetail=%+v, want Lost [1]", f)
 	}
 }
 
@@ -145,8 +148,8 @@ func TestShardedSilentSurvived(t *testing.T) {
 	if att.GuardCycles == 0 {
 		t.Fatal("Attempt.GuardCycles = 0, want the guard overhead priced")
 	}
-	if len(att.QuarantinedDevices) != 0 {
-		t.Fatalf("Attempt.QuarantinedDevices = %v, want none for one repaired frame", att.QuarantinedDevices)
+	if f := att.ShardDetail; f == nil || len(f.Quarantined) != 0 {
+		t.Fatalf("ShardDetail = %+v, want a fabric report with no quarantine for one repaired frame", f)
 	}
 }
 
@@ -176,8 +179,8 @@ func TestShardedQuarantineRecorded(t *testing.T) {
 	if _, ok := AsCorruption(att.Err); !ok {
 		t.Fatalf("fabric failure does not unwrap to the corruption: %v", att.Err)
 	}
-	if len(att.QuarantinedDevices) != 1 || att.QuarantinedDevices[0] != 1 {
-		t.Fatalf("failed Attempt.QuarantinedDevices = %v, want [1]", att.QuarantinedDevices)
+	if f := att.ShardDetail; f == nil || len(f.Quarantined) != 1 || f.Quarantined[0] != 1 {
+		t.Fatalf("failed attempt ShardDetail = %+v, want Quarantined [1]", f)
 	}
 }
 
