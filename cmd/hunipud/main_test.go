@@ -76,6 +76,8 @@ func TestSolveEndpointErrors(t *testing.T) {
 		{"malformed json", `{"costs": [[1,`, http.StatusBadRequest, "bad_request"},
 		{"nan entry", `{"costs":[[1,2],[3,"x"]]}`, http.StatusBadRequest, "bad_request"},
 		{"ragged matrix", `{"costs":[[1,2],[3]]}`, http.StatusBadRequest, "invalid_input"},
+		// Priced by its first row, this body would need 100² ms.
+		{"ragged with deadline", `{"costs":[[` + strings.Repeat("0,", 99) + `0],[3]],"deadline_ms":50}`, http.StatusBadRequest, "invalid_input"},
 		{"deadline too short", `{"costs":[[4,1,3],[2,0,5],[3,2,2]],"deadline_ms":1}`, http.StatusUnprocessableEntity, "deadline_too_short"},
 	}
 	for _, tc := range cases {

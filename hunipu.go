@@ -172,12 +172,13 @@ func Solve(costs [][]float64, opts ...Option) (*Result, error) {
 // message text. Match with errors.Is.
 var ErrInvalidInput = errors.New("invalid input")
 
-// validateFinite rejects ragged inputs and entries no solver can
+// ValidateCosts rejects ragged inputs and entries no solver can
 // process: NaN, ±Inf, and values at or above the lsap.Forbidden
-// sentinel. Every public entry point shares this check so that a
-// matrix accepted by Solve is also accepted by SolveKBest and
-// SolveBottleneck, and vice versa.
-func validateFinite(costs [][]float64) error {
+// sentinel, each wrapping ErrInvalidInput. Every public entry point
+// shares this check so that a matrix accepted by Solve is also
+// accepted by SolveKBest and SolveBottleneck, and vice versa; a front
+// end calls it to refuse a bad matrix before it spends anything on it.
+func ValidateCosts(costs [][]float64) error {
 	if len(costs) == 0 {
 		return nil
 	}
@@ -209,7 +210,7 @@ func squareMatrix(costs [][]float64, maximize bool) (m *lsap.Matrix, rows, cols 
 		return lsap.NewMatrix(0), 0, 0, nil
 	}
 	cols = len(costs[0])
-	if err := validateFinite(costs); err != nil {
+	if err := ValidateCosts(costs); err != nil {
 		return nil, 0, 0, err
 	}
 	maxV := 0.0
@@ -304,7 +305,7 @@ func rows(m *lsap.Matrix) [][]float64 {
 // the enumeration always runs on the CPU JV solver regardless of
 // device options; the matrix must be square.
 func SolveKBest(costs [][]float64, k int) ([]*Result, error) {
-	if err := validateFinite(costs); err != nil {
+	if err := ValidateCosts(costs); err != nil {
 		return nil, err
 	}
 	m, err := lsap.FromRows(costs)
@@ -333,7 +334,7 @@ func SolveKBest(costs [][]float64, k int) ([]*Result, error) {
 // matching (the bottleneck assignment problem) instead of the sum.
 // Result.Cost is the bottleneck value. The matrix must be square.
 func SolveBottleneck(costs [][]float64) (*Result, error) {
-	if err := validateFinite(costs); err != nil {
+	if err := ValidateCosts(costs); err != nil {
 		return nil, err
 	}
 	m, err := lsap.FromRows(costs)

@@ -27,11 +27,12 @@ type auctionBuilder struct {
 	bidAmt   *poplar.Tensor // Float [n], row-aligned
 	bcast    *poplar.Tensor // Float [numBlocks, n]: staged prices
 
-	maxB    *poplar.Tensor // Float scalar
-	eps     *poplar.Tensor // Float scalar
-	phaseGo *poplar.Tensor // Bool scalar
-	roundGo *poplar.Tensor // Bool scalar
-	epsMin  *poplar.Tensor // Float scalar: the ε floor, set by the host
+	maxB     *poplar.Tensor // Float scalar
+	eps      *poplar.Tensor // Float scalar
+	phaseGo  *poplar.Tensor // Bool scalar
+	roundGo  *poplar.Tensor // Bool scalar
+	epsMin   *poplar.Tensor // Float scalar: the ε floor, set by the host
+	epsStart *poplar.Tensor // Float scalar: a warm run's first ε, set by the host; 0 on a cold run
 }
 
 // newAuctionBuilder lays out an n×n auction (n ≥ 1) over ⌈n/tiles⌉
@@ -86,6 +87,7 @@ func newAuctionBuilder(cfg ipu.Config, n int) *auctionBuilder {
 		{&b.phaseGo, "phase_go", poplar.Bool},
 		{&b.roundGo, "round_go", poplar.Bool},
 		{&b.epsMin, "eps_min", poplar.Float},
+		{&b.epsStart, "eps_start", poplar.Float},
 	} {
 		*v.t = g.AddVariable(v.nm, v.dt, 1)
 		g.MapAllTo(*v.t, b.utilTile)
@@ -106,18 +108,24 @@ func (b *auctionBuilder) blockRows(blk int) (int, int) {
 func (b *auctionBuilder) program() poplar.Program {
 	g, n := b.g, b.n
 
-	// ε initialisation from the benefit maximum (device-side, so the
-	// static program needs no data-dependent host input).
+	// ε initialisation from the benefit maximum (device-side, so a cold
+	// run needs no data-dependent host input). A non-zero eps_start, a
+	// warm run's start from lsap.AuctionDriver.StartEps, takes the place
+	// of maxB/2; a cold run leaves it at 0. Both scalars live on the
+	// utility tile, next to this vertex, so reading them moves no bytes.
 	initEps := poplar.Sequence(
 		poplar.Reduce(g, b.benefit, b.maxB, poplar.ReduceMax, "auc_maxb"),
 		b.scalarStep("auc_initeps", func(get func(int) float64, set func(int, float64)) {
-			e := get(0) / 2
-			if e <= 0 {
-				e = 1
+			e := get(1)
+			if e == 0 {
+				e = get(0) / 2
+				if e <= 0 {
+					e = 1
+				}
 			}
 			set(1, e)
 			set(2, 1) // phaseGo
-		}, []*poplar.Tensor{b.maxB}, []*poplar.Tensor{b.maxB, b.eps, b.phaseGo}),
+		}, []*poplar.Tensor{b.maxB, b.epsStart}, []*poplar.Tensor{b.maxB, b.eps, b.phaseGo}),
 	)
 
 	// Price broadcast: each row block stages the current prices.
@@ -239,11 +247,11 @@ func (b *auctionBuilder) program() poplar.Program {
 		}, nil, []*poplar.Tensor{b.roundGo}),
 	)
 
-	// The ε floor is chosen host-side and set before each run: 1/(n+1)
-	// for exactness on integer matrices, Epsilon/n for a bounded-quality
-	// target (see Options.Epsilon) — the early-termination knob of the
-	// degradation ladder. It lives on the utility tile, next to this
-	// vertex, so reading it moves no bytes.
+	// The ε floor is chosen host-side and set before each run
+	// (lsap.AuctionDriver.Floor: 1/(n+1) for exactness on integer
+	// matrices, raised for a bounded-quality target) — the
+	// early-termination knob of the degradation ladder. It lives on the
+	// utility tile, next to this vertex, so reading it moves no bytes.
 	epsCheck := b.scalarStep("auc_epscheck", func(get func(int) float64, set func(int, float64)) {
 		e := get(0)
 		if e < get(1) {

@@ -44,17 +44,19 @@ type Options struct {
 	// Epsilon is the target normalized optimality gap (see
 	// lsap.NormalizedGap). 0 runs the full ε-scaling schedule (exact
 	// for integer matrices). > 0 raises the device's ε floor to
-	// Epsilon/n — the scaling loop stops as soon as a phase at that
-	// floor has run, since ε-complementary slackness then bounds the
-	// gap by n·ε ≤ Epsilon — and the host certifies the readback with
-	// price-derived feasible duals via lsap.VerifyOptimalWithBound. A
-	// failed certificate tightens the floor and re-runs (twice), then
+	// lsap.AuctionDriver.Floor — the scaling loop stops as soon as a
+	// phase below that floor has run, since ε-complementary slackness
+	// then bounds the gap by n·ε — and the host certifies the readback
+	// with price-derived feasible duals via lsap.VerifyOptimalWithBound.
+	// A failed certificate tightens the floor and re-runs (twice), then
 	// fails with a typed *lsap.GapError: a bounded answer is attested
 	// within ε or withheld, never silently worse.
 	Epsilon float64
 	// WarmPrices seeds the price tensor (benefit space; −v from a
 	// prior solve's duals). Length n, finite. The certificate never
 	// depends on them, so a stale prior costs rounds, not soundness.
+	// A warm bounded run also skips the coarse ε phases
+	// (lsap.AuctionDriver.StartEps).
 	WarmPrices []float64
 }
 
@@ -121,39 +123,13 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	if n == 0 {
 		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}}, nil
 	}
-	benefit, _, price, err := s.auction.Prepare(c)
+	benefit, maxB, price, err := s.auction.Prepare(c)
 	if err != nil {
 		return nil, err
 	}
-
-	// The device ε floor: 1/(n+1) gives exactness on integer matrices.
-	// A bounded target raises it: ε-complementary slackness at floor e
-	// leaves an absolute gap of at most n·e, and the certified gap is
-	// normalized by 1+|bound|, so a floor of Epsilon·(1+lb)/n — with lb
-	// the sum of row minima, a cheap lower bound on the optimum that the
-	// dual bound tracks — lands the normalized gap near Epsilon. The
-	// floor is only an early-termination heuristic: certification below
-	// decides, and a failed certificate re-runs at a tighter floor.
-	epsMin := 1.0 / float64(n+1)
-	if s.opts.Epsilon > 0 {
-		lb := 0.0
-		for i := 0; i < n; i++ {
-			row := c.Row(i)
-			min := row[0]
-			for _, v := range row[1:] {
-				if v < min {
-					min = v
-				}
-			}
-			lb += min
-		}
-		if lb < 0 {
-			lb = 0
-		}
-		if alt := s.opts.Epsilon * (1 + lb) / float64(n); alt > epsMin {
-			epsMin = alt
-		}
-	}
+	// The device ε floor is lsap's: certification decides, and a failed
+	// certificate re-runs at a tighter floor.
+	epsMin := s.auction.Floor(c)
 	p, err := s.program(n)
 	if err != nil {
 		return nil, err
@@ -166,7 +142,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	// the same program at a tighter floor, at most twice, before its
 	// *GapError stands.
 	for attempt := 1; ; attempt++ {
-		r, err := s.runOnce(ctx, p, c, benefit, price, epsMin)
+		r, err := s.runOnce(ctx, p, c, benefit, price, maxB, epsMin)
 		var ge *lsap.GapError
 		if errors.As(err, &ge) && attempt < 3 {
 			epsMin /= 8
@@ -178,14 +154,20 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 
 // runOnce executes the compiled auction once at the given ε floor and
 // certifies the readback with its price-derived duals.
-func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefit, price []float64, epsMin float64) (*Result, error) {
+func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefit, price []float64, maxB, epsMin float64) (*Result, error) {
 	n := c.N
 	b, eng, dev := p.b, p.eng, p.dev
 	// Every run starts from the all-zero state of a fresh engine. The
-	// floor is set outside the transfer barrier, so the fault schedule
-	// sees the same host transfers as on a freshly compiled program.
+	// floor and the start are set outside the transfer barrier, so the
+	// fault schedule sees the same host transfers as on a freshly
+	// compiled program. A cold run leaves eps_start at 0, and the device
+	// starts at its own maxB/2; a warm run starts where lsap's rule puts
+	// it for this run's floor.
 	eng.ZeroState()
 	b.epsMin.SetScalar(epsMin)
+	if s.opts.WarmPrices != nil {
+		b.epsStart.SetScalar(s.auction.StartEps(maxB, epsMin))
+	}
 	dev.ResetClock()
 	if err := eng.HostWrite(b.benefit, benefit); err != nil {
 		return nil, fmt.Errorf("ipuauction: input transfer failed: %w", err)
@@ -228,8 +210,9 @@ func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefi
 
 // programKey is the auction's compile fingerprint, following core's:
 // every Options field that changes the graph, the engine or the bound
-// device. The ε floor and warm prices are tensor data, so one program
-// serves every Epsilon. Injectors are compared by identity.
+// device. The ε floor, the start and warm prices are tensor data, so
+// one program serves every Epsilon, cold or warm. Injectors are
+// compared by identity.
 type programKey struct {
 	n             int
 	cfg           ipu.Config

@@ -3,6 +3,7 @@ package lsap
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AuctionEpsScale is the factor every ε-scaling auction (CPU, IPU and
@@ -22,6 +23,8 @@ const AuctionEpsScale = 4
 // exactly optimal on integer costs; with Epsilon > 0 it stops at the
 // first phase certified within Epsilon. A bounded answer is attested
 // within Epsilon by VerifyOptimalWithBound or withheld as a *GapError.
+// Floor and StartEps are the schedule's two ends, shared by the host
+// schedule (Solve) and the IPU port's on-device one.
 type AuctionDriver struct {
 	// Solver names the port in errors and in *GapError.
 	Solver string
@@ -88,11 +91,73 @@ func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, pric
 	return benefit, maxB, price, nil
 }
 
-// Solve runs the host ε schedule over phase: ε starts at half the
-// largest benefit and is divided by AuctionEpsScale after every phase
-// until a phase is certified within Epsilon (when > 0) or has run
-// below 1/(n+1). The last phase's assignment is returned with its
-// certificate, or a *GapError when a bounded target is not attested.
+// Floor is the ε below which the schedule's last phase runs. 1/(n+1)
+// gives exactness on integer matrices. A bounded target raises it:
+// ε-complementary slackness at floor e leaves an absolute gap of at
+// most n·e, and the certified gap is normalized by 1+|bound|, so a
+// floor of Epsilon·(1+lb)/n, with lb the sum of row minima (a cheap
+// lower bound on the optimum that the dual bound tracks), lands the
+// normalized gap near Epsilon. The raised floor only places the
+// schedule: the certificate decides every bounded answer.
+func (d AuctionDriver) Floor(c *Matrix) float64 {
+	n := c.N
+	floor := 1.0 / float64(n+1)
+	if d.Epsilon <= 0 || n == 0 {
+		return floor
+	}
+	lb := 0.0
+	for i := 0; i < n; i++ {
+		row := c.Row(i)
+		min := row[0]
+		for _, v := range row[1:] {
+			if v < min {
+				min = v
+			}
+		}
+		lb += min
+	}
+	if lb < 0 {
+		lb = 0
+	}
+	return max(floor, d.Epsilon*(1+lb)/float64(n))
+}
+
+// StartEps is the ε of the schedule's first phase. A cold solve starts
+// at half the largest benefit maxB (1 when maxB ≤ 0): prices far from
+// equilibrium need the coarse phases. A warm-started bounded solve
+// (WarmPrices set, Epsilon > 0) starts near equilibrium and skips
+// them: the start is divided by AuctionEpsScale for as long as the
+// quotient stays at or above floor. A schedule that stops after its
+// first phase below floor, as the IPU port's does, then runs only the
+// cold schedule's last two phases and ends at the same final ε, so its
+// certificate is just as strong.
+//
+// Warm prices spread wider than maxB start cold: every phase ends with
+// each column held at ε-complementary slackness, which keeps any two
+// prices within maxB+ε of each other, so such a prior is no phase's
+// end state for this matrix and bidding it down at a fine ε would cost
+// far more rounds than the coarse phases. So does a cost range that
+// overflows float64 (maxB = +Inf): no division brings it to floor.
+func (d AuctionDriver) StartEps(maxB, floor float64) float64 {
+	eps := maxB / 2
+	if eps <= 0 {
+		return 1
+	}
+	if len(d.WarmPrices) == 0 || d.Epsilon <= 0 || floor <= 0 || math.IsInf(maxB, 1) ||
+		slices.Max(d.WarmPrices)-slices.Min(d.WarmPrices) > maxB {
+		return eps
+	}
+	for eps/AuctionEpsScale >= floor {
+		eps /= AuctionEpsScale
+	}
+	return eps
+}
+
+// Solve runs the host ε schedule over phase: ε starts at StartEps and
+// is divided by AuctionEpsScale after every phase until a phase is
+// certified within Epsilon (when > 0) or has run below 1/(n+1). The
+// last phase's assignment is returned with its certificate, or a
+// *GapError when a bounded target is not attested.
 func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
 	n := c.N
 	if n == 0 {
@@ -102,10 +167,7 @@ func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	eps := maxB / 2
-	if eps <= 0 {
-		eps = 1
-	}
+	eps := d.StartEps(maxB, d.Floor(c))
 	epsMin := 1.0 / float64(n+1)
 	assigned := make(Assignment, n)
 	for {

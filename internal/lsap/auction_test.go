@@ -1,0 +1,74 @@
+package lsap
+
+import (
+	"math"
+	"testing"
+)
+
+// TestWarmStartRule: a cold schedule starts at maxB/2; only a
+// warm-started bounded one whose prices lie within a finite maxB of
+// each other skips to the smallest maxB/2·4⁻ᵏ at or above the floor,
+// so it still ends at the cold schedule's final ε.
+func TestWarmStartRule(t *testing.T) {
+	warm := []float64{0, 0}
+	for _, tc := range []struct {
+		name        string
+		warm        []float64
+		eps         float64
+		maxB, floor float64
+		want        float64
+	}{
+		{"cold", nil, 0.05, 64000, 262, 32000},
+		{"cold exact", nil, 0, 64000, 1.0 / 3, 32000},
+		{"cold, maxB 0", nil, 0.05, 0, 262, 1},
+		{"cold, maxB < 0", nil, 0.05, -8, 262, 1},
+		{"warm bounded", warm, 0.05, 64000, 262, 500},
+		{"warm bounded, quotient on the floor", warm, 0.05, 64000, 500, 500},
+		{"warm bounded, tightened floor", warm, 0.05, 64000, 262.0 / 8, 125},
+		{"warm bounded, maxB 0", warm, 0.05, 0, 262, 1},
+		{"warm exact", warm, 0, 64000, 1.0 / 3, 32000},
+		{"warm bounded, start below the floor", warm, 0.05, 64000, 40000, 32000},
+		{"warm bounded, start just above the floor", warm, 0.05, 64000, 8001, 32000},
+		{"warm bounded, prices spread maxB", []float64{-30000, 34000}, 0.05, 64000, 262, 500},
+		{"warm bounded, prices spread wider than maxB", []float64{-30000, 34001}, 0.05, 64000, 262, 32000},
+		{"warm bounded, cost range overflows", warm, 0.05, math.Inf(1), 262, math.Inf(1)},
+	} {
+		d := AuctionDriver{Solver: "test", Epsilon: tc.eps, WarmPrices: tc.warm}
+		if got := d.StartEps(tc.maxB, tc.floor); got != tc.want {
+			t.Errorf("%s: StartEps(%g, %g) = %g, want %g", tc.name, tc.maxB, tc.floor, got, tc.want)
+		}
+	}
+}
+
+// TestWarmStartFloor: the floor is 1/(n+1) for an exact target and
+// Epsilon·(1+lb)/n, lb the sum of row minima clamped at 0, when that
+// is higher.
+func TestWarmStartFloor(t *testing.T) {
+	m, err := FromRows([][]float64{
+		{40, 90, 70},
+		{80, 20, 60},
+		{50, 30, 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := FromRows([][]float64{{-5, 1}, {2, -7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+		eps  float64
+		want float64
+	}{
+		{"exact", m, 0, 1.0 / 4},
+		{"bounded", m, 0.05, 0.05 * (1 + 40 + 20 + 30) / 3},
+		{"bounded below the exact floor", m, 0.001, 1.0 / 4},
+		{"negative row minima clamp lb at 0", neg, 2, 2 * (1 + 0) / 2},
+	} {
+		if got := (AuctionDriver{Epsilon: tc.eps}).Floor(tc.m); got != tc.want {
+			t.Errorf("%s: Floor = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+}

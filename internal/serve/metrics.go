@@ -17,7 +17,9 @@ type Metrics struct {
 	ShedDeadline   atomic.Int64
 	ShedDraining   atomic.Int64
 	ShedNoDevice   atomic.Int64
-	// Failed counts admitted requests that returned an error.
+	// Failed counts requests that returned an error: admitted ones
+	// whose solve failed, and ones refused as invalid input before
+	// admission (see Server.Submit).
 	Failed atomic.Int64
 	// Served counts successful responses per device (indexed by
 	// hunipu.Device).

@@ -350,9 +350,16 @@ func (s *Server) underPressure() bool {
 }
 
 // Submit admits, queues, and executes one request, blocking until the
-// result is ready, the request is shed, or ctx ends. Shedding is
-// typed: ErrDraining, ErrDeadlineTooShort, ErrOverloaded, ErrNoDevice.
+// result is ready, the request is shed, or ctx ends. A matrix that
+// hunipu.ValidateCosts rejects fails first, with hunipu.ErrInvalidInput,
+// before admission prices it or lets it hold a queue slot; it counts as
+// Failed, not Admitted. Shedding is typed: ErrDraining,
+// ErrDeadlineTooShort, ErrOverloaded, ErrNoDevice.
 func (s *Server) Submit(ctx context.Context, req Request) (*hunipu.Result, error) {
+	if err := hunipu.ValidateCosts(req.Costs); err != nil {
+		s.metrics.Failed.Add(1)
+		return nil, err
+	}
 	if s.draining.Load() {
 		s.metrics.ShedDraining.Add(1)
 		return nil, ErrDraining

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -221,6 +222,55 @@ func TestRectangularRequestPricedPadded(t *testing.T) {
 	}
 	if est := s.model.Estimate(hunipu.DeviceCPU, 64, false); est > slowest {
 		t.Fatalf("n=64 estimate %v after 2×64 solves, slowest of them took %v", est, slowest)
+	}
+}
+
+// TestInvalidInputRefusedBeforeAdmission: a matrix no solver accepts
+// fails with hunipu.ErrInvalidInput, counted as Failed, before
+// admission prices it or queues it. At a 50ms deadline a 2000-row
+// ragged body and one whose first row is 2000 wide would otherwise be
+// priced at 2000² cells and shed as too slow; a NaN body without a
+// deadline would hold a queue slot and a worker until the solve
+// rejected it.
+func TestInvalidInputRefusedBeforeAdmission(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1}) // 50ns/cell: n=2000 → 200ms
+	tall := make([][]float64, 2000)
+	for i := range tall {
+		tall[i] = []float64{1}
+	}
+	tall[len(tall)-1] = []float64{1, 2}
+	wide := [][]float64{make([]float64, 2000), {1}}
+	nan := testCosts(4, 1)
+	nan[2][3] = math.NaN()
+	submit := func(costs [][]float64, deadline time.Duration) error {
+		ctx := context.Background()
+		if deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, deadline)
+			defer cancel()
+		}
+		_, err := s.Submit(ctx, Request{Costs: costs})
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		costs    [][]float64
+		deadline time.Duration
+	}{
+		{"2000-row ragged", tall, 50 * time.Millisecond},
+		{"2000-wide first row", wide, 50 * time.Millisecond},
+		{"NaN entry", nan, 0},
+	} {
+		if err := submit(tc.costs, tc.deadline); !errors.Is(err, hunipu.ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want hunipu.ErrInvalidInput", tc.name, err)
+		}
+	}
+	m := s.Metrics()
+	if a, d := m.Admitted.Load(), m.ShedDeadline.Load(); a != 0 || d != 0 {
+		t.Fatalf("Admitted %d, ShedDeadline %d; want both 0", a, d)
+	}
+	if f := m.Failed.Load(); f != 3 {
+		t.Fatalf("Failed %d, want 3: each refusal is counted", f)
 	}
 }
 

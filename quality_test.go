@@ -1,10 +1,12 @@
 package hunipu
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hunipu/internal/lsap"
 )
@@ -236,6 +238,38 @@ func TestWarmStartBoundedPath(t *testing.T) {
 	}
 	if warm.Gap > 0.05 {
 		t.Fatalf("stale-warm gap %g exceeds ε", warm.Gap)
+	}
+}
+
+// TestWarmBoundedOverflowingRangeEnds: a matrix whose cost range
+// overflows float64 (max − min = +Inf), warm-started bounded from an
+// ordinary frame's duals, starts cold on every port instead of
+// spinning in the host's start rule. Each solve returns — answered, or
+// stopped by ctx on the IPU, whose device schedule cannot bring ε = +Inf
+// below the floor — long before the watchdog.
+func TestWarmBoundedOverflowingRangeEnds(t *testing.T) {
+	prev, err := Solve([][]float64{{4, 1}, {2, 0}}, WithQuality(Bounded(0.05)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := [][]float64{{1e308, -1e308}, {0, 0}}
+	for _, d := range []Device{DeviceCPU, DeviceGPU, DeviceIPU} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		done := make(chan error, 1)
+		go func() {
+			_, err := SolveContext(ctx, costs, OnDevice(d), WithQuality(Bounded(0.05)),
+				WithWarmStart(prev.Duals.U, prev.Duals.V))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%v: err = %v, want an answer or the ctx deadline", d, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%v: warm bounded solve still running 20s after a 200ms deadline", d)
+		}
+		cancel()
 	}
 }
 
