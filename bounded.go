@@ -37,9 +37,10 @@ func (c *config) solveBounded(ctx context.Context, d Device, m *lsap.Matrix, pri
 	switch d {
 	case DeviceIPU:
 		o := ipuauction.Options{
-			Config:     c.ipuOpts.Config,
-			Epsilon:    eps,
-			WarmPrices: warm,
+			Config:        c.ipuOpts.Config,
+			MaxSupersteps: c.ipuOpts.MaxSupersteps,
+			Epsilon:       eps,
+			WarmPrices:    warm,
 		}
 		inj := c.injectorFor(d)
 		if inj != nil {

@@ -82,7 +82,7 @@ func (a Auction) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Soluti
 			if math.IsInf(second, -1) {
 				second = best // n == 1
 			}
-			price[bestJ] += best - second + eps
+			price[bestJ] = lsap.RaisePrice(price[bestJ], best-second+eps)
 			if prev := owner[bestJ]; prev >= 0 {
 				assigned[prev] = -1
 				queue = append(queue, prev)

@@ -122,6 +122,14 @@ func TestAuctionValidation(t *testing.T) {
 	if _, err := (Auction{WarmPrices: []float64{1}}).Solve(m); err == nil {
 		t.Fatal("short warm prices accepted")
 	}
+	// A benefit range of +Inf once panicked the bidder with index −1.
+	over, err := lsap.FromRows([][]float64{{1e308, -1e308}, {0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Auction{}).Solve(over); err == nil {
+		t.Fatal("overflowing cost range accepted")
+	}
 }
 
 func TestAuctionContextCancel(t *testing.T) {

@@ -205,7 +205,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 				}
 				owner[j] = bidder[j]
 				assigned[bidder[j]] = j
-				price[j] += bidVal[j]
+				price[j] = lsap.RaisePrice(price[j], bidVal[j])
 				t.Charge(6)
 				t.GlobalRandom(24)
 			}); err != nil {

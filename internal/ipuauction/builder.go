@@ -221,7 +221,7 @@ func (b *auctionBuilder) program() poplar.Program {
 				}
 				own[j] = float64(winner[j])
 				asg[winner[j]] = float64(j)
-				pr[j] += winAmt[j]
+				pr[j] = lsap.RaisePrice(pr[j], winAmt[j])
 				winner[j] = -1
 				winAmt[j] = math.Inf(-1)
 			}

@@ -38,6 +38,17 @@ type AuctionDriver struct {
 	WarmPrices []float64
 }
 
+// RaisePrice returns price p raised by a winning bid. A bid below half
+// an ulp of p rounds away, which would leave the price where it was and
+// the auction bidding forever; the price then rises by one ulp instead.
+// Every port raises its prices here.
+func RaisePrice(p, bid float64) float64 {
+	if q := p + bid; q != p {
+		return q
+	}
+	return math.Nextafter(p, math.Inf(1))
+}
+
 // AuctionPhase runs one bidding phase at ε: starting from price, it
 // bids until every row holds a column, raising price in place and
 // writing each row's column to assigned. A returned error ends the
@@ -55,7 +66,9 @@ func (d AuctionDriver) Validate() error {
 
 // Prepare validates Epsilon, c and the warm prices, and returns the
 // row-major benefit matrix, its largest entry, and the starting prices.
-// Costs must be finite and free of Forbidden entries.
+// Costs must be finite and free of Forbidden entries, and their range
+// must not overflow float64: an infinite largest benefit leaves no ε
+// schedule to run.
 func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, price []float64, err error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, nil, err
@@ -87,6 +100,9 @@ func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, pric
 		if benefit[i] > maxB {
 			maxB = benefit[i]
 		}
+	}
+	if math.IsInf(maxB, 1) {
+		return nil, 0, nil, fmt.Errorf("lsap: %s cost range overflows float64", d.Solver)
 	}
 	return benefit, maxB, price, nil
 }
@@ -136,14 +152,13 @@ func (d AuctionDriver) Floor(c *Matrix) float64 {
 // each column held at ε-complementary slackness, which keeps any two
 // prices within maxB+ε of each other, so such a prior is no phase's
 // end state for this matrix and bidding it down at a fine ε would cost
-// far more rounds than the coarse phases. So does a cost range that
-// overflows float64 (maxB = +Inf): no division brings it to floor.
+// far more rounds than the coarse phases.
 func (d AuctionDriver) StartEps(maxB, floor float64) float64 {
 	eps := maxB / 2
 	if eps <= 0 {
 		return 1
 	}
-	if len(d.WarmPrices) == 0 || d.Epsilon <= 0 || floor <= 0 || math.IsInf(maxB, 1) ||
+	if len(d.WarmPrices) == 0 || d.Epsilon <= 0 || floor <= 0 ||
 		slices.Max(d.WarmPrices)-slices.Min(d.WarmPrices) > maxB {
 		return eps
 	}
@@ -205,7 +220,7 @@ func (d AuctionDriver) certificate(c *Matrix, a Assignment, price []float64) (*S
 	}
 	pots := PriceDuals(c, price)
 	cost := a.Cost(c)
-	return &Solution{Assignment: a, Cost: cost, Potentials: &pots, Gap: NormalizedGap(cost, pots.DualObjective())}, nil
+	return &Solution{Assignment: a, Cost: cost, Potentials: &pots, Gap: NormalizedGap(cost, pots.dualObjectiveAlong(a))}, nil
 }
 
 // attest enforces the bounded contract: within Epsilon or typed failure.

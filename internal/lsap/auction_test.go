@@ -5,6 +5,40 @@ import (
 	"testing"
 )
 
+// TestPrepareRejectsOverflowingRange: a cost range whose benefit
+// max C − min C overflows leaves no ε schedule to run. Such a matrix
+// once sent a warm bounded solve into an endless start-ε loop and
+// panicked the CPU auction.
+func TestPrepareRejectsOverflowingRange(t *testing.T) {
+	m, err := FromRows([][]float64{{1e308, -1e308}, {0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []AuctionDriver{
+		{Solver: "cold"},
+		{Solver: "warm", Epsilon: 0.05, WarmPrices: []float64{0, 0}},
+	} {
+		if _, _, _, err := d.Prepare(m); err == nil {
+			t.Errorf("%s: Prepare accepted a benefit range of +Inf", d.Solver)
+		}
+	}
+}
+
+// TestRaisePrice: a winning bid always raises the price, by one ulp
+// when the bid is too small to survive rounding.
+func TestRaisePrice(t *testing.T) {
+	for _, tc := range []struct{ p, bid, want float64 }{
+		{10, 2.5, 12.5},
+		{0, 1e-300, 1e-300},
+		{1e16, 0.5, math.Nextafter(1e16, math.Inf(1))},
+		{-1e16, 0.25, math.Nextafter(-1e16, math.Inf(1))},
+	} {
+		if got := RaisePrice(tc.p, tc.bid); got != tc.want || got <= tc.p {
+			t.Errorf("RaisePrice(%g, %g) = %g, want %g", tc.p, tc.bid, got, tc.want)
+		}
+	}
+}
+
 // TestWarmStartRule: a cold schedule starts at maxB/2; only a
 // warm-started bounded one whose prices lie within a finite maxB of
 // each other skips to the smallest maxB/2·4⁻ᵏ at or above the floor,
@@ -31,7 +65,6 @@ func TestWarmStartRule(t *testing.T) {
 		{"warm bounded, start just above the floor", warm, 0.05, 64000, 8001, 32000},
 		{"warm bounded, prices spread maxB", []float64{-30000, 34000}, 0.05, 64000, 262, 500},
 		{"warm bounded, prices spread wider than maxB", []float64{-30000, 34001}, 0.05, 64000, 262, 32000},
-		{"warm bounded, cost range overflows", warm, 0.05, math.Inf(1), 262, math.Inf(1)},
 	} {
 		d := AuctionDriver{Solver: "test", Epsilon: tc.eps, WarmPrices: tc.warm}
 		if got := d.StartEps(tc.maxB, tc.floor); got != tc.want {

@@ -38,13 +38,14 @@ func (e *GapError) Error() string {
 // with cost against the dual lower bound: (cost − bound)/(1+|bound|),
 // clamped at 0. It is the quantity VerifyOptimalWithBound compares to
 // its tolerance, so gap ≤ ε is exactly "VerifyOptimalWithBound passes
-// at tol=ε" (given feasible potentials).
+// at tol=ε" (given feasible potentials). A gap that is not a number
+// (an overflowed cost or bound) certifies nothing and reads +Inf.
 func NormalizedGap(cost, bound float64) float64 {
 	g := (cost - bound) / (1 + math.Abs(bound))
-	if g < 0 || math.IsNaN(g) {
-		return 0
+	if math.IsNaN(g) {
+		return math.Inf(1)
 	}
-	return g
+	return max(g, 0)
 }
 
 // PriceDuals derives feasible minimisation potentials from auction

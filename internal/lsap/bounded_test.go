@@ -122,6 +122,75 @@ func TestNormalizedGap(t *testing.T) {
 	if g := NormalizedGap(12, 10); math.Abs(g-2.0/11) > 1e-12 {
 		t.Fatalf("gap = %g, want %g", g, 2.0/11)
 	}
+	if g := NormalizedGap(178, math.Inf(1)); !math.IsInf(g, 1) {
+		t.Fatalf("gap against an infinite bound = %g, want +Inf", g)
+	}
+}
+
+// TestBoundSummedAlongMatching: potentials near 1e100 that certify a
+// matching costing 195 cancel to noise in Σu + Σv (3.9e84 here); the
+// bound summed along the matching keeps its precision and refuses the
+// matching, whose optimum is 176.
+func TestBoundSummedAlongMatching(t *testing.T) {
+	m, err := FromRows([][]float64{
+		{4.561762187747854e+99, 31, 8},
+		{88, 6.650058750349893e+99, 5.634144750713216e+99},
+		{6.188487526699514e+99, 80, 76},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Potentials{
+		U: []float64{8.86674500046653e+99, 1.4500889751179744e+100, 8.86674500046653e+99},
+		V: []float64{-1.4500889751179744e+100, -8.86674500046653e+99, -8.86674500046653e+99},
+	}
+	a := Assignment{1, 0, 2} // cost 31+88+76 = 195
+	if b := p.DualObjective(); b < 195 {
+		t.Fatalf("Σu + Σv = %g no longer cancels above the cost; pick new potentials", b)
+	}
+	if err := VerifyOptimalWithBound(m, a, p, 0.05); err == nil {
+		t.Fatal("a matching 11% above the optimum was certified within 0.05")
+	}
+}
+
+// TestVerifiersRejectNonFinite: NaN compares false with everything, so
+// a NaN or infinite potential could pass every edge check and the
+// bound check. An overflowed auction once certified a wrong answer at
+// gap 0 with U = [+Inf, +Inf] and V = [−Inf, −Inf]; both verifiers
+// must refuse such certificates.
+func TestVerifiersRejectNonFinite(t *testing.T) {
+	m, err := FromRows([][]float64{{4, 1}, {2, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Assignment{1, 0}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		p    Potentials
+	}{
+		{"NaN u", Potentials{U: []float64{nan, 0}, V: []float64{0, 0}}},
+		{"NaN v", Potentials{U: []float64{0, 0}, V: []float64{0, nan}}},
+		{"+Inf u, −Inf v", Potentials{U: []float64{inf, inf}, V: []float64{-inf, -inf}}},
+		{"−Inf u", Potentials{U: []float64{-inf, 0}, V: []float64{0, 0}}},
+		{"+Inf v", Potentials{U: []float64{0, 0}, V: []float64{inf, 0}}},
+	} {
+		if err := VerifyFeasiblePotentials(m, tc.p, 1e-9); err == nil {
+			t.Errorf("%s: VerifyFeasiblePotentials accepted %v", tc.name, tc.p)
+		}
+		if err := VerifyOptimalWithBound(m, a, tc.p, 0.05); err == nil {
+			t.Errorf("%s: VerifyOptimalWithBound accepted %v", tc.name, tc.p)
+		}
+	}
+	// Finite, feasible potentials whose matched sums overflow leave no
+	// finite bound.
+	p := Potentials{U: []float64{-math.MaxFloat64, -math.MaxFloat64}, V: []float64{-math.MaxFloat64, -math.MaxFloat64}}
+	if err := VerifyFeasiblePotentials(m, p, 1e-9); err != nil {
+		t.Fatalf("feasible finite potentials rejected: %v", err)
+	}
+	if err := VerifyOptimalWithBound(m, a, p, 0.05); err == nil {
+		t.Errorf("VerifyOptimalWithBound accepted an overflowed bound")
+	}
 }
 
 func TestGapErrorTyped(t *testing.T) {

@@ -93,14 +93,36 @@ func (p Potentials) DualObjective() float64 {
 	return sum
 }
 
-// VerifyFeasiblePotentials checks u[i]+v[j] ≤ C[i][j] + tol on every
-// non-forbidden edge. Feasible potentials make DualObjective a certified
-// lower bound on the cost of any perfect matching of c, regardless of
-// where the potentials came from.
+// dualObjectiveAlong is the dual objective summed along the perfect
+// matching a: Σᵢ u[i] + v[a[i]]. It equals Σu + Σv in exact arithmetic,
+// but each of its terms is near the cost of a matched edge, so it keeps
+// its precision when the potentials dwarf the costs they certify.
+// There Σu + Σv cancels to rounding noise: auction prices near 1e100
+// for a matching that costs 195 once summed to a bound above the
+// optimum and certified a worse matching at gap 0.
+func (p Potentials) dualObjectiveAlong(a Assignment) float64 {
+	var sum float64
+	for i, j := range a {
+		sum += p.U[i] + p.V[j]
+	}
+	return sum
+}
+
+// VerifyFeasiblePotentials checks that every potential is finite and
+// u[i]+v[j] ≤ C[i][j] + tol on every non-forbidden edge. Feasible
+// potentials make DualObjective a certified lower bound on the cost of
+// any perfect matching of c, regardless of where the potentials came
+// from. A NaN compares false with everything, so it is refused up
+// front rather than left to pass the edge checks.
 func VerifyFeasiblePotentials(c *Matrix, p Potentials, tol float64) error {
 	n := c.N
 	if len(p.U) != n || len(p.V) != n {
 		return fmt.Errorf("lsap: potentials have %d/%d entries, want %d", len(p.U), len(p.V), n)
+	}
+	for i := 0; i < n; i++ {
+		if math.IsNaN(p.U[i]) || math.IsInf(p.U[i], 0) || math.IsNaN(p.V[i]) || math.IsInf(p.V[i], 0) {
+			return fmt.Errorf("lsap: potentials u[%d] = %g, v[%d] = %g, want finite", i, p.U[i], i, p.V[i])
+		}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -143,10 +165,11 @@ func VerifyOptimal(c *Matrix, a Assignment, p Potentials, tol float64) error {
 // the potentials may come from any solver (they need not be tight on
 // a's edges, so ties between distinct optimal matchings are fine). It
 // checks that a is a perfect matching, that the potentials are feasible
-// — making Σu+Σv a sound lower bound by weak duality — and that a's
-// cost meets that bound within tol·(1+|bound|). A nil error proves
-// optimality of a even if the solver that produced the potentials
-// returned a wrong matching.
+// — making Σu+Σv a sound lower bound by weak duality, summed along a
+// to keep its precision (see dualObjectiveAlong) — and that a's cost
+// meets that bound within tol·(1+|bound|).
+// A nil error proves optimality of a even if the solver that produced
+// the potentials returned a wrong matching.
 func VerifyOptimalWithBound(c *Matrix, a Assignment, p Potentials, tol float64) error {
 	if err := a.Validate(c.N); err != nil {
 		return err
@@ -154,9 +177,12 @@ func VerifyOptimalWithBound(c *Matrix, a Assignment, p Potentials, tol float64) 
 	if err := VerifyFeasiblePotentials(c, p, tol); err != nil {
 		return err
 	}
-	bound := p.DualObjective()
+	bound := p.dualObjectiveAlong(a)
+	if math.IsNaN(bound) || math.IsInf(bound, 0) {
+		return fmt.Errorf("lsap: certified lower bound %g is not finite", bound)
+	}
 	cost := a.Cost(c)
-	if cost > bound+tol*(1+math.Abs(bound)) {
+	if !(cost <= bound+tol*(1+math.Abs(bound))) {
 		return fmt.Errorf("lsap: matching cost %g exceeds certified lower bound %g", cost, bound)
 	}
 	return nil
@@ -171,8 +197,8 @@ type Solution struct {
 	// for bounded-quality solvers, near-optimality; see Gap).
 	Potentials *Potentials
 	// Gap is the certified normalized optimality gap under Potentials:
-	// NormalizedGap(Cost, Potentials.DualObjective()). Exact solvers
-	// leave it 0; bounded-quality solvers report the gap they attested,
+	// NormalizedGap of Cost against the dual objective summed along
+	// Assignment (Σᵢ U[i] + V[Assignment[i]]). Exact solvers leave it 0; bounded-quality solvers report the gap they attested,
 	// which is at most the ε they were asked for.
 	Gap float64
 }
