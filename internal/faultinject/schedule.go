@@ -404,16 +404,18 @@ func parseRule(fields []string) (Rule, error) {
 
 // RandomSchedule draws a schedule for chaos sweeps: 1–3 rules mixing
 // classes, one-shot and recurring triggers, phase filters and
-// probability gates. The result is deterministic in rng's state, and
-// biases toward schedules that actually fire at small solve sizes.
-func RandomSchedule(rng *rand.Rand) *Schedule {
+// probability gates. Each rule's phase filter is drawn uniformly from
+// phases, the globs of the program the schedule is meant for ("" is no
+// filter), so a rule can reach the compute sets it names. The result
+// is deterministic in rng's state and phases, and biases toward
+// schedules that actually fire at small solve sizes.
+func RandomSchedule(rng *rand.Rand, phases []string) *Schedule {
 	s := &Schedule{Seed: rng.Int63n(1 << 20)}
 	// Announced classes only: silent classes raise no error, so an
 	// unbounded silent storm would wedge a guard-less solver forever
 	// (use RandomSilentSchedule + a guard for those). The explicit list
 	// also keeps pre-existing replays byte-identical as classes grow.
 	classes := []Class{ExchangeCorruption, TileMemoryPressure, DeviceReset, HostTransferStall}
-	phases := []string{"", "", "s1_*", "s4_*", "s6_*", "compress", "copy:*", "host:*", "*"}
 	nRules := 1 + rng.Intn(3)
 	for i := 0; i < nRules; i++ {
 		r := Rule{Class: classes[rng.Intn(len(classes))], At: -1, Times: 1, Device: -1}

@@ -84,10 +84,13 @@ func TestParseTimesDefaults(t *testing.T) {
 	}
 }
 
+// testPhases are phase globs of the shapes real programs declare.
+var testPhases = []string{"", "s1_*", "compress", "copy:*", "host:*", "*"}
+
 func TestStringRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		s := RandomSchedule(rng)
+		s := RandomSchedule(rng, testPhases)
 		spec := s.String()
 		s2, err := ParseSchedule(spec)
 		if err != nil {
@@ -293,7 +296,7 @@ func TestCheckConcurrentSafety(t *testing.T) {
 func TestRandomScheduleAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		s := RandomSchedule(rng)
+		s := RandomSchedule(rng, testPhases)
 		if len(s.Rules) == 0 {
 			t.Fatal("RandomSchedule produced no rules")
 		}

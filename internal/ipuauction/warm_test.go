@@ -99,16 +99,15 @@ func TestWarmStartEndsAtColdEps(t *testing.T) {
 	}
 }
 
-// TestWarmStartUnderFaults: warm-started bounded solves under seeded
-// announced-fault schedules end certified within ε of an independent
-// JV optimum or fail typed. Random schedules rarely leave a run only
-// transient faults, so transient exchange faults are also placed on
-// the auction phases that read or carry ε. Those stay within the retry
-// budget and must not change a run's outcome: checkpoint recovery
-// certifies it with the warm start still in eps_start, or it fails
-// with the fault-free run's *lsap.GapError. The sweep must also
-// certify solves whose first readback the certificate rejected, so the
-// warm start was recomputed for a tighter floor.
+// TestWarmStartUnderFaults: transient exchange faults placed on the
+// auction phases that read or carry ε stay within the retry budget and
+// must not change a warm-started bounded run's outcome: checkpoint
+// recovery certifies it within ε of an independent JV optimum with the
+// warm start still in eps_start, or it fails with the fault-free run's
+// *lsap.GapError. The runs must also certify a solve whose first
+// readback the certificate rejected, so the warm start was recomputed
+// for a tighter floor. Random schedules over cold and warm frames are
+// conformance.BoundedSweep's.
 func TestWarmStartUnderFaults(t *testing.T) {
 	type frame struct {
 		next  *lsap.Matrix
@@ -151,10 +150,6 @@ func TestWarmStartUnderFaults(t *testing.T) {
 	}
 
 	var schedules []*faultinject.Schedule
-	for k := 0; k < 24; k++ {
-		schedules = append(schedules, faultinject.RandomSchedule(rand.New(rand.NewSource(int64(900+k)))))
-	}
-	transient := len(schedules)
 	for _, spec := range []string{
 		"exchange phase=auc_initeps",
 		"exchange phase=auc_bid times=2",
@@ -168,7 +163,7 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		schedules = append(schedules, fault)
 	}
 
-	var certified, recovered, retried, typed int
+	var certified, retried, typed int
 	for sched, fault := range schedules {
 		f := frames[sched%len(frames)]
 		ref, err := (cpuhung.JV{}).Solve(f.next)
@@ -183,12 +178,8 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		}
 		r, err := s.SolveDetailed(f.next)
 		if err != nil {
-			var fe *faultinject.FaultError
 			var ge *lsap.GapError
-			if !errors.As(err, &fe) && !errors.As(err, &ge) {
-				t.Fatalf("schedule %d (%s): untyped error: %v", sched, fault, err)
-			}
-			if sched >= transient && (ge == nil || f.clean == nil) {
+			if !errors.As(err, &ge) || f.clean == nil {
 				t.Fatalf("schedule %d (%s): %v; fault-free the run gives %v", sched, fault, err, f.clean)
 			}
 			typed++
@@ -213,19 +204,16 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		if floor < s.auction.Floor(f.next) {
 			retried++
 		}
-		if r.Recovery.Retries > 0 {
-			recovered++
-			_, maxB, _, _ := s.auction.Prepare(f.next)
-			if got, want := p.b.epsStart.ScalarValue(), s.auction.StartEps(maxB, floor); got != want {
-				t.Fatalf("schedule %d (%s): eps_start %g after recovery, want the warm start %g", sched, fault, got, want)
-			}
-		} else if sched >= transient {
+		if r.Recovery.Retries == 0 {
 			t.Fatalf("schedule %d (%s): certified without a recovery retry (%d fired)", sched, fault, fault.Fired())
 		}
+		_, maxB, _, _ := s.auction.Prepare(f.next)
+		if got, want := p.b.epsStart.ScalarValue(), s.auction.StartEps(maxB, floor); got != want {
+			t.Fatalf("schedule %d (%s): eps_start %g after recovery, want the warm start %g", sched, fault, got, want)
+		}
 	}
-	t.Logf("certified %d (%d after a recovery retry, %d after a tighten-retry), typed %d", certified, recovered, retried, typed)
-	if recovered == 0 || retried == 0 {
-		t.Fatalf("certified %d, %d after a recovery retry, %d after a tighten-retry: the sweep no longer certifies a recovered or a retried solve",
-			certified, recovered, retried)
+	t.Logf("certified %d (%d after a tighten-retry), gap refusals %d", certified, retried, typed)
+	if certified == 0 || retried == 0 {
+		t.Fatalf("certified %d, %d after a tighten-retry: the runs no longer certify a recovered or a retried solve", certified, retried)
 	}
 }
