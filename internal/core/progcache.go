@@ -11,7 +11,7 @@ import (
 )
 
 // This file separates program *shape* from program *instance*
-// (DESIGN.md §7). A CompiledProgram is the immutable shape artefact —
+// (DESIGN.md §5e). A CompiledProgram is the immutable shape artefact —
 // graph construction, static verification, and compilation for one
 // (size, device, options) fingerprint — and the ProgramCache is a
 // bounded LRU of those artefacts with memoized single-flight
