@@ -138,9 +138,10 @@ type Result struct {
 	// Quality is the tier that served the request: Exact (the default)
 	// or Bounded(ε) when WithQuality degraded the solve. Gap is the
 	// certified normalized optimality gap actually attested — 0 for
-	// exact solves, at most Quality.Epsilon() for bounded ones (the
-	// bounded path fails with a typed *lsap.GapError rather than
-	// return anything worse).
+	// exact solves, at most Quality.Epsilon() for bounded ones. A
+	// bounded answer that cannot be attested within ε is never
+	// returned: the device that refused it serves the request at
+	// Exact, and Quality reports Exact.
 	Quality Quality
 	Gap     float64
 	// Duals is the dual-potential certificate of the solve when the

@@ -82,7 +82,7 @@ func TestReplayDigest(t *testing.T) {
 		got := fmt.Sprintf("asg=%v u=%v v=%v cycles=%d supersteps=%d",
 			r.Solution.Assignment, r.Solution.Potentials.U, r.Solution.Potentials.V,
 			r.Stats.TotalCycles(), r.Stats.Supersteps)
-		const want = "asg=[3 0 8 15 12 4 2 7 10 11 6 13 14 1 5 9] u=[272.0859375 238.396484375 233.017578125 241.70703125 274.19140625 263.0859375 284.8125 242.912109375 253.1171875 243.912109375 265.6015625 247.0859375 271.19140625 245.501953125 238.912109375 291.359375] v=[-229.70703125 -235.8125 -225.123046875 -271.0859375 -238.0859375 -234.912109375 -252.6015625 -234.912109375 -220.328125 -281.359375 -251.1171875 -224.912109375 -256.19140625 -230.396484375 -240.501953125 -229.017578125] cycles=46952 supersteps=93"
+		const want = "asg=[3 0 8 15 12 4 2 7 10 11 6 13 14 1 5 9] u=[272.0859375 238.396484375 233.017578125 241.70703125 274.19140625 263.0859375 284.8125 242.912109375 253.1171875 243.912109375 265.6015625 247.0859375 271.19140625 245.501953125 238.912109375 291.359375] v=[-229.70703125 -235.8125 -225.123046875 -271.0859375 -238.0859375 -234.912109375 -252.6015625 -234.912109375 -220.328125 -281.359375 -251.1171875 -224.912109375 -256.19140625 -230.396484375 -240.501953125 -229.017578125] cycles=32600 supersteps=66"
 		if got != want {
 			t.Errorf("warm IPU-auction solve\n got %s\nwant %s", got, want)
 		}
@@ -161,7 +161,7 @@ announced seed=1 HunIPU-2D#2: runs=120 clean=34 survived=22 typed=64 corruptions
 announced seed=1 HunIPU-shard2#3: runs=120 clean=34 survived=40 typed=46 corruptions=0 detections=0 maxlat=0 rollbacks=55 lost=82 reshards=50 quarantined=0 wrong=0 untyped=0
 announced seed=1 HunIPU-shard4#4: runs=120 clean=34 survived=65 typed=21 corruptions=0 detections=0 maxlat=0 rollbacks=62 lost=104 reshards=97 quarantined=0 wrong=0 untyped=0
 announced seed=1 FastHA#5: runs=120 clean=30 survived=0 typed=90 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=1 IPU-Auction#6: runs=120 clean=27 survived=17 typed=76 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=1 IPU-Auction#6: runs=120 clean=28 survived=22 typed=70 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=1 HunIPU-shard2#0: runs=100 clean=18 survived=54 typed=28 corruptions=0 detections=0 maxlat=0 rollbacks=79 lost=76 reshards=58 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=1 HunIPU-shard4#1: runs=100 clean=13 survived=68 typed=19 corruptions=0 detections=0 maxlat=0 rollbacks=110 lost=64 reshards=64 quarantined=0 wrong=0 untyped=0
 silent@checksums seed=1 HunIPU#0: runs=50 clean=15 survived=32 typed=0 corruptions=3 detections=45 maxlat=20001 rollbacks=42 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
@@ -180,15 +180,15 @@ silent@paranoid seed=1 HunIPU-2D#2: runs=50 clean=15 survived=30 typed=0 corrupt
 fabric-silent@paranoid seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=90 typed=0 corruptions=2 detections=118 maxlat=48 rollbacks=143 lost=47 reshards=47 quarantined=23 wrong=0 untyped=0
 fabric-silent@paranoid seed=1 HunIPU-shard4#1: runs=100 clean=11 survived=89 typed=0 corruptions=0 detections=144 maxlat=108 rollbacks=135 lost=73 reshards=73 quarantined=45 wrong=0 untyped=0
 bounded@0 seed=1 IPU@bounded(0)#0: runs=100 clean=32 survived=19 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
-bounded@0.01 seed=1 IPU@bounded(0.01)#0: runs=100 clean=31 survived=15 typed=54 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.001587 maxtruegap=0
-bounded@0.1 seed=1 IPU@bounded(0.1)#0: runs=100 clean=31 survived=16 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0264472 maxtruegap=0
+bounded@0.01 seed=1 IPU@bounded(0.01)#0: runs=100 clean=21 survived=27 typed=52 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.001587 maxtruegap=0
+bounded@0.1 seed=1 IPU@bounded(0.1)#0: runs=100 clean=19 survived=26 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0264472 maxtruegap=0
 announced seed=2 HunIPU#0: runs=120 clean=28 survived=38 typed=54 corruptions=0 detections=0 maxlat=0 rollbacks=78 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=2 HunIPU-nocompress#1: runs=120 clean=29 survived=36 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=76 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=2 HunIPU-2D#2: runs=120 clean=28 survived=38 typed=54 corruptions=0 detections=0 maxlat=0 rollbacks=78 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=2 HunIPU-shard2#3: runs=120 clean=27 survived=49 typed=44 corruptions=0 detections=0 maxlat=0 rollbacks=114 lost=69 reshards=41 quarantined=0 wrong=0 untyped=0
 announced seed=2 HunIPU-shard4#4: runs=120 clean=26 survived=64 typed=30 corruptions=0 detections=0 maxlat=0 rollbacks=117 lost=97 reshards=87 quarantined=0 wrong=0 untyped=0
 announced seed=2 FastHA#5: runs=120 clean=32 survived=0 typed=88 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=2 IPU-Auction#6: runs=120 clean=22 survived=20 typed=78 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=2 IPU-Auction#6: runs=120 clean=29 survived=18 typed=73 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=2 HunIPU-shard2#0: runs=100 clean=10 survived=55 typed=35 corruptions=0 detections=0 maxlat=0 rollbacks=107 lost=75 reshards=56 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=2 HunIPU-shard4#1: runs=100 clean=5 survived=66 typed=29 corruptions=0 detections=0 maxlat=0 rollbacks=152 lost=71 reshards=69 quarantined=0 wrong=0 untyped=0
 silent@checksums seed=2 HunIPU#0: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=40 maxlat=19986 rollbacks=31 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
@@ -207,15 +207,15 @@ silent@paranoid seed=2 HunIPU-2D#2: runs=50 clean=12 survived=29 typed=0 corrupt
 fabric-silent@paranoid seed=2 HunIPU-shard2#0: runs=100 clean=5 survived=91 typed=4 corruptions=0 detections=134 maxlat=16 rollbacks=133 lost=61 reshards=57 quarantined=35 wrong=0 untyped=0
 fabric-silent@paranoid seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=130 maxlat=28 rollbacks=136 lost=59 reshards=59 quarantined=32 wrong=0 untyped=0
 bounded@0 seed=2 IPU@bounded(0)#0: runs=100 clean=24 survived=33 typed=43 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
-bounded@0.01 seed=2 IPU@bounded(0.01)#0: runs=100 clean=21 survived=30 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00187473 maxtruegap=0
-bounded@0.1 seed=2 IPU@bounded(0.1)#0: runs=100 clean=21 survived=30 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0308636 maxtruegap=0
+bounded@0.01 seed=2 IPU@bounded(0.01)#0: runs=100 clean=20 survived=27 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00187473 maxtruegap=0
+bounded@0.1 seed=2 IPU@bounded(0.1)#0: runs=100 clean=19 survived=28 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0308636 maxtruegap=0
 announced seed=3 HunIPU#0: runs=120 clean=25 survived=37 typed=58 corruptions=0 detections=0 maxlat=0 rollbacks=59 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=3 HunIPU-nocompress#1: runs=120 clean=28 survived=37 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=59 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=3 HunIPU-2D#2: runs=120 clean=25 survived=37 typed=58 corruptions=0 detections=0 maxlat=0 rollbacks=59 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=3 HunIPU-shard2#3: runs=120 clean=23 survived=53 typed=44 corruptions=0 detections=0 maxlat=0 rollbacks=102 lost=74 reshards=46 quarantined=0 wrong=0 untyped=0
 announced seed=3 HunIPU-shard4#4: runs=120 clean=23 survived=68 typed=29 corruptions=0 detections=0 maxlat=0 rollbacks=102 lost=109 reshards=96 quarantined=0 wrong=0 untyped=0
 announced seed=3 FastHA#5: runs=120 clean=36 survived=0 typed=84 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=3 IPU-Auction#6: runs=120 clean=18 survived=18 typed=84 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=3 IPU-Auction#6: runs=120 clean=34 survived=13 typed=73 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=3 HunIPU-shard2#0: runs=100 clean=15 survived=47 typed=38 corruptions=0 detections=0 maxlat=0 rollbacks=141 lost=59 reshards=41 quarantined=0 wrong=0 untyped=0
 fabric-loss seed=3 HunIPU-shard4#1: runs=100 clean=11 survived=70 typed=19 corruptions=0 detections=0 maxlat=0 rollbacks=160 lost=62 reshards=62 quarantined=0 wrong=0 untyped=0
 silent@checksums seed=3 HunIPU#0: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=32 maxlat=20001 rollbacks=27 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
@@ -234,6 +234,6 @@ silent@paranoid seed=3 HunIPU-2D#2: runs=50 clean=18 survived=27 typed=0 corrupt
 fabric-silent@paranoid seed=3 HunIPU-shard2#0: runs=100 clean=6 survived=88 typed=6 corruptions=0 detections=134 maxlat=24 rollbacks=128 lost=63 reshards=57 quarantined=32 wrong=0 untyped=0
 fabric-silent@paranoid seed=3 HunIPU-shard4#1: runs=100 clean=9 survived=91 typed=0 corruptions=0 detections=123 maxlat=143 rollbacks=146 lost=51 reshards=51 quarantined=33 wrong=0 untyped=0
 bounded@0 seed=3 IPU@bounded(0)#0: runs=100 clean=32 survived=28 typed=40 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
-bounded@0.01 seed=3 IPU@bounded(0.01)#0: runs=100 clean=25 survived=23 typed=52 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00155435 maxtruegap=0
-bounded@0.1 seed=3 IPU@bounded(0.1)#0: runs=100 clean=23 survived=24 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0298339 maxtruegap=0
+bounded@0.01 seed=3 IPU@bounded(0.01)#0: runs=100 clean=29 survived=22 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00155435 maxtruegap=0
+bounded@0.1 seed=3 IPU@bounded(0.1)#0: runs=100 clean=31 survived=22 typed=47 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0298339 maxtruegap=0
 `

@@ -69,7 +69,7 @@ type Target func(inj faultinject.Injector, retries int) (lsap.Solver, error)
 var (
 	hunIPUPhases  = []string{"", "", "s1_*", "s4_*", "s6_*", "compress", "copy:*", "host:*", "*"}
 	fastHAPhases  = []string{"", "", "row_*", "col_reduce", "*_partial", "*_final", "prime_cover", "augment_path", "*"}
-	auctionPhases = []string{"", "", "auc_bid", "auc_resolve", "auc_bcast", "auc_*eps*", "auc_reset_*/*", "host:*", "*"}
+	auctionPhases = []string{"", "", "auc_bid", "auc_resolve", "auc_*eps*", "auc_reset_*/*", "host:*", "*"}
 )
 
 // hunIPU targets HunIPU built from o on a fabric of the given number of

@@ -25,7 +25,6 @@ type auctionBuilder struct {
 	assigned *poplar.Tensor // Int [n], row-aligned
 	bidJ     *poplar.Tensor // Int [n], row-aligned: object each bidder wants
 	bidAmt   *poplar.Tensor // Float [n], row-aligned
-	bcast    *poplar.Tensor // Float [numBlocks, n]: staged prices
 
 	maxB     *poplar.Tensor // Float scalar
 	eps      *poplar.Tensor // Float scalar
@@ -72,10 +71,6 @@ func newAuctionBuilder(cfg ipu.Config, n int) *auctionBuilder {
 			lo, hi := b.blockRows(blk)
 			g.SetTileMapping(*v.t, blk, lo, hi)
 		}
-	}
-	b.bcast = g.AddVariable("price_bcast", poplar.Float, b.numBlocks, n)
-	for blk := 0; blk < b.numBlocks; blk++ {
-		g.SetTileMapping(b.bcast, blk, blk*n, (blk+1)*n)
 	}
 	for _, v := range []struct {
 		t  **poplar.Tensor
@@ -128,24 +123,16 @@ func (b *auctionBuilder) program() poplar.Program {
 		}, []*poplar.Tensor{b.maxB, b.epsStart}, []*poplar.Tensor{b.maxB, b.eps, b.phaseGo}),
 	)
 
-	// Price broadcast: each row block stages the current prices.
-	bcastCS := g.AddComputeSet("auc_bcast")
-	priceAll := b.price.All()
-	for blk := 0; blk < b.numBlocks; blk++ {
-		dst := b.bcast.Slice(blk*n, (blk+1)*n)
-		bcastCS.AddVertex(blk, func(w *poplar.Worker) {
-			copy(dst.Data(), priceAll.Data())
-			w.ChargeVec(int64(n))
-		}).Reads(priceAll).Writes(dst)
-	}
-
 	// Bid: one MIMD vertex per bidder — each runs its own scan with no
 	// lockstep penalty, the architectural contrast with the GPU version.
+	// Bidders read the live prices: this step is the only reader of
+	// price in a round, so no staging copy is needed, and the static
+	// exchange multicasts each price segment once per receiving tile.
 	bidCS := g.AddComputeSet("auc_bid")
+	prices := b.price.All()
 	for i := 0; i < n; i++ {
 		blk := i / b.rowsPerTile
 		row := b.benefit.RowRef(i)
-		prices := b.bcast.Slice(blk*n, (blk+1)*n)
 		asg := b.assigned.Index(i)
 		bj := b.bidJ.Index(i)
 		ba := b.bidAmt.Index(i)
@@ -180,64 +167,69 @@ func (b *auctionBuilder) program() poplar.Program {
 
 	// Resolve: the single serializer takes the highest bid per object
 	// (no atomics on the IPU — C1), evicts previous owners, raises
-	// prices, and decides whether another round is needed.
+	// prices, and decides whether another round is needed. It scans the
+	// bids once, counting the unassigned rows as it goes, then touches
+	// only the objects that received a bid: O(n + bids), where most
+	// rounds carry one bid or none.
 	resolveCS := g.AddComputeSet("auc_resolve")
 	// Vertex-local scratch (a real codelet would hold this in tile
 	// memory); reset after every use so executions stay independent.
 	winner := make([]int, n)
 	winAmt := make([]float64, n)
+	bidOn := make([]int, 0, n) // objects bid on this round, in first-bid order
 	for j := range winner {
 		winner[j] = -1
-		winAmt[j] = math.Inf(-1)
 	}
 	bidsJ, bidsA := b.bidJ.All(), b.bidAmt.All()
 	ownerAll, assignedAll := b.owner.All(), b.assigned.All()
 	roundRef := b.roundGo.All()
-	priceW := b.price.All()
 	resolveCS.AddVertex(b.utilTile, func(w *poplar.Worker) {
 		bj := bidsJ.Data()
 		ba := bidsA.Data()
 		own := ownerAll.Data()
 		asg := assignedAll.Data()
-		pr := priceW.Data()
-		// Highest bid per object, lowest bidder id breaking ties.
+		pr := prices.Data()
+		unassigned := 0
 		for i := 0; i < n; i++ {
+			if asg[i] < 0 {
+				unassigned++
+			}
 			j := int(bj[i])
 			if j < 0 {
 				continue
 			}
 			// Highest bid wins; equal bids keep the earlier (lower id)
 			// bidder, making resolution deterministic.
-			if prev := winner[j]; prev < 0 || ba[i] > winAmt[j] {
+			if winner[j] < 0 || ba[i] > winAmt[j] {
+				if winner[j] < 0 {
+					bidOn = append(bidOn, j)
+				}
 				winner[j] = i
 				winAmt[j] = ba[i]
 			}
 		}
-		unassigned := 0
-		for j := 0; j < n; j++ {
-			if winner[j] >= 0 {
-				if prev := int(own[j]); prev >= 0 {
-					asg[prev] = -1
-				}
-				own[j] = float64(winner[j])
-				asg[winner[j]] = float64(j)
-				pr[j] = lsap.RaisePrice(pr[j], winAmt[j])
-				winner[j] = -1
-				winAmt[j] = math.Inf(-1)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if asg[i] < 0 {
+		// Assigned rows never bid, so each winner leaves the unassigned
+		// rows and each evicted owner joins them.
+		for _, j := range bidOn {
+			if prev := int(own[j]); prev >= 0 {
+				asg[prev] = -1
 				unassigned++
 			}
+			own[j] = float64(winner[j])
+			asg[winner[j]] = float64(j)
+			unassigned--
+			pr[j] = lsap.RaisePrice(pr[j], winAmt[j])
+			winner[j] = -1
 		}
 		if unassigned > 0 {
 			roundRef.Data()[0] = 1
 		} else {
 			roundRef.Data()[0] = 0
 		}
-		w.Charge(int64(3 * n))
-	}).Reads(bidsJ, bidsA).Writes(ownerAll, assignedAll, priceW, roundRef)
+		// The scan, then evict, assign and raise per object bid on.
+		w.Charge(int64(n + 4*len(bidOn)))
+		bidOn = bidOn[:0]
+	}).Reads(bidsJ, bidsA).Writes(ownerAll, assignedAll, prices, roundRef)
 
 	resetPhase := poplar.Sequence(
 		poplar.Fill(g, b.assigned, -1, "auc_reset_asg"),
@@ -261,7 +253,7 @@ func (b *auctionBuilder) program() poplar.Program {
 		}
 	}, []*poplar.Tensor{b.eps, b.epsMin}, []*poplar.Tensor{b.eps, b.phaseGo})
 
-	round := poplar.Sequence(poplar.Execute(bcastCS), poplar.Execute(bidCS), poplar.Execute(resolveCS))
+	round := poplar.Sequence(poplar.Execute(bidCS), poplar.Execute(resolveCS))
 	phase := poplar.Sequence(resetPhase, poplar.RepeatWhileTrue(b.roundGo, round), epsCheck)
 	return poplar.Sequence(initEps, poplar.RepeatWhileTrue(b.phaseGo, phase))
 }

@@ -22,12 +22,12 @@ func TestModeledCyclesPinned(t *testing.T) {
 		supersteps int64
 		cost       float64
 	}{
-		{64, 0, false, 1_390_562, 1_428, 281_245},
-		{64, 0.05, false, 871_658, 891, 281_248},
-		{128, 0, false, 2_715_770, 1_723, 812_625},
-		{128, 0.05, false, 1_989_576, 1_251, 812_996},
-		{64, 0.05, true, 338_804, 348, 277_331},
-		{128, 0.05, true, 1_569_014, 981, 806_718},
+		{64, 0, false, 822_474, 968, 281_245},
+		{64, 0.05, false, 512_874, 602, 281_248},
+		{128, 0, false, 1_519_354, 1_166, 812_625},
+		{128, 0.05, false, 1_100_056, 842, 812_996},
+		{64, 0.05, true, 199_572, 236, 277_331},
+		{128, 0.05, true, 854_158, 658, 806_718},
 	} {
 		m, err := datasets.Gaussian(tc.n, 500, int64(1+31*tc.n+500))
 		if err != nil {

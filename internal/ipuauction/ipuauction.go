@@ -8,11 +8,11 @@
 //
 // The whole ε-scaling loop runs on-device with static control flow:
 // an outer RepeatWhileTrue over ε phases, an inner RepeatWhileTrue
-// over bidding rounds. Each round broadcasts prices to the row tiles,
-// lets every unassigned bidder compute its bid in parallel (one vertex
-// per row, MIMD — no divergence penalty, unlike the GPU version), and
-// resolves conflicts in a single serializer vertex, since the IPU has
-// no atomics (C1).
+// over bidding rounds. Each round is two supersteps: every unassigned
+// bidder computes its bid in parallel against the live prices (one
+// vertex per row, MIMD — no divergence penalty, unlike the GPU
+// version), and a single serializer vertex resolves the conflicts,
+// since the IPU has no atomics (C1).
 package ipuauction
 
 import (

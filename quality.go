@@ -16,9 +16,11 @@ import (
 // stop early and return an assignment whose cost is *certified* within
 // a normalized gap ε of optimal: the solver derives feasible dual
 // potentials, checks lsap.VerifyOptimalWithBound against them, and
-// fails with a typed *lsap.GapError when it cannot attest the answer
+// refuses with a typed *lsap.GapError when it cannot attest the answer
 // that tightly — a bounded answer is never silently worse than
-// promised. Bounded(0) degenerates to the exact contract.
+// promised. The solve then runs at Exact on the same device before
+// any fallback device, and Result.Quality reports Exact. Bounded(0)
+// degenerates to the exact contract.
 type Quality struct {
 	bounded bool
 	eps     float64

@@ -270,12 +270,24 @@ func SolveContext(ctx context.Context, costs [][]float64, opts ...Option) (*Resu
 		sol     *lsap.Solution
 		modeled time.Duration
 		lastErr error
+		quality Quality
 	)
 	for _, d := range devices {
 		t0 := time.Now()
 		var att Attempt
+		quality = c.quality
 		if bounded {
 			sol, modeled, att = c.solveBounded(ctx, d, m, prior)
+			// An answer the auction cannot certify within ε (its prices
+			// at a scale that rounds the small costs away) is served at
+			// Exact on the same device before the ladder moves on.
+			var ge *lsap.GapError
+			if errors.As(att.Err, &ge) {
+				att.Wall = time.Since(t0)
+				report.Attempts = append(report.Attempts, att)
+				t0, quality = time.Now(), Exact()
+				sol, modeled, att = c.solveOn(ctx, d, m)
+			}
 		} else {
 			sol, modeled, att = c.solveOn(ctx, d, exactM)
 			att.WarmStarted = prior != nil
@@ -316,7 +328,7 @@ func SolveContext(ctx context.Context, costs [][]float64, opts ...Option) (*Resu
 		Modeled:    modeled,
 		Wall:       time.Since(start),
 		Report:     report,
-		Quality:    c.quality,
+		Quality:    quality,
 		Gap:        sol.Gap,
 	}
 	if sol.Potentials != nil {
