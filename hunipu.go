@@ -29,7 +29,6 @@ import (
 
 	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
-	"hunipu/internal/fastha"
 	"hunipu/internal/faultinject"
 	"hunipu/internal/graphalign"
 	"hunipu/internal/lsap"
@@ -66,7 +65,6 @@ type config struct {
 	device   Device
 	maximize bool
 	ipuOpts  core.Options
-	gpuOpts  fastha.Options
 
 	// Reliability knobs; see reliability.go and guard.go.
 	fallback  []Device
@@ -116,9 +114,6 @@ func Maximize() Option { return func(c *config) { c.maximize = true } }
 // shape, ablation switches). See package internal/core for fields.
 func WithIPUOptions(o core.Options) Option { return func(c *config) { c.ipuOpts = o } }
 
-// WithGPUOptions overrides the FastHA configuration.
-func WithGPUOptions(o fastha.Options) Option { return func(c *config) { c.gpuOpts = o } }
-
 // Result is the outcome of a Solve call.
 type Result struct {
 	// Assignment maps each row to its matched column.
@@ -128,7 +123,9 @@ type Result struct {
 	Cost float64
 	// Device is the solver that ran.
 	Device Device
-	// Modeled is the simulated device time (zero for the CPU solver).
+	// Modeled is the simulated device time summed over the attempts in
+	// Report, a refused bounded run's included (zero for the CPU
+	// solver).
 	Modeled time.Duration
 	// Wall is the real time the call took end to end.
 	Wall time.Duration

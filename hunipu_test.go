@@ -6,7 +6,6 @@ import (
 
 	"hunipu/internal/core"
 	"hunipu/internal/datasets"
-	"hunipu/internal/fastha"
 )
 
 func TestSolveQuickstart(t *testing.T) {
@@ -217,23 +216,6 @@ func TestWithIPUOptionsAblations(t *testing.T) {
 		if res.Cost != 5 {
 			t.Fatalf("%+v: cost %g, want 5", o, res.Cost)
 		}
-	}
-}
-
-func TestWithGPUOptionsBlockThreads(t *testing.T) {
-	costs := [][]float64{
-		{4, 1},
-		{2, 8},
-	}
-	res, err := Solve(costs, OnGPU(), WithGPUOptions(fastha.Options{BlockThreads: 64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != 3 {
-		t.Fatalf("cost %g, want 3", res.Cost)
-	}
-	if _, err := Solve(costs, OnGPU(), WithGPUOptions(fastha.Options{BlockThreads: -2})); err == nil {
-		t.Fatal("invalid GPU options accepted")
 	}
 }
 

@@ -7,7 +7,8 @@
 // Every unassigned bidder computes its best and second-best object in
 // parallel (a full coalesced row scan), bids are resolved per object
 // with atomic max semantics, and ε-scaling phases drive the final ε
-// below 1/(n+1) so integer-valued problems finish exactly optimal.
+// below lsap.AuctionDriver.Floor, 1/(n+1) for an exact target, so
+// integer-valued problems finish exactly optimal.
 // The structure is bulk-synchronous at kernel granularity — bid /
 // resolve / count per round — so, like FastHA, it pays kernel-launch
 // and host-sync overhead every round; unlike the Hungarian baselines,
@@ -36,8 +37,9 @@ type Options struct {
 	// lsap.NormalizedGap). 0 runs the full ε-scaling schedule (exact
 	// for integer matrices); > 0 terminates the schedule at the first
 	// phase whose assignment the price-derived duals certify within
-	// Epsilon, and the solve fails with a typed *lsap.GapError when it
-	// cannot attest the answer that tightly.
+	// Epsilon, or after its first phase below lsap.AuctionDriver.Floor,
+	// and the solve fails with a typed *lsap.GapError when it cannot
+	// attest the answer that tightly.
 	Epsilon float64
 	// WarmPrices seeds the column prices (benefit space; −v from a
 	// prior solve's duals). Length n, finite. Prices shift where
@@ -109,7 +111,9 @@ func (s *Solver) SolveDetailed(c *lsap.Matrix) (*Result, error) {
 
 // SolveDetailedContext is SolveDetailed with cancellation support.
 // lsap.AuctionDriver runs the ε schedule; each phase here is a
-// sequence of bid/resolve kernel rounds.
+// sequence of bid/resolve kernel rounds. A failed solve still returns
+// the Result of the rounds it ran, Solution nil, so a caller can
+// account for their modeled time.
 func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Result, error) {
 	n := c.N
 	dev, err := gpu.NewDevice(s.opts.Config)
@@ -223,8 +227,5 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Rounds: rounds}, nil
+	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Rounds: rounds}, err
 }

@@ -240,10 +240,11 @@ func (b *auctionBuilder) program() poplar.Program {
 	)
 
 	// The ε floor is chosen host-side and set before each run
-	// (lsap.AuctionDriver.Floor: 1/(n+1) for exactness on integer
-	// matrices, raised for a bounded-quality target) — the
-	// early-termination knob of the degradation ladder. It lives on the
-	// utility tile, next to this vertex, so reading it moves no bytes.
+	// (lsap.AuctionDriver.Floor, the end of every port's schedule:
+	// 1/(n+1) for an exact target, scaled to a bounded-quality target's
+	// ε) — the early-termination knob of the degradation ladder. It
+	// lives on the utility tile, next to this vertex, so reading it
+	// moves no bytes.
 	epsCheck := b.scalarStep("auc_epscheck", func(get func(int) float64, set func(int, float64)) {
 		e := get(0)
 		if e < get(1) {

@@ -17,7 +17,6 @@ package ipuauction
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -42,15 +41,15 @@ type Options struct {
 	// injected faults. 0 disables recovery.
 	MaxRetries int
 	// Epsilon is the target normalized optimality gap (see
-	// lsap.NormalizedGap). 0 runs the full ε-scaling schedule (exact
-	// for integer matrices). > 0 raises the device's ε floor to
-	// lsap.AuctionDriver.Floor — the scaling loop stops as soon as a
-	// phase below that floor has run, since ε-complementary slackness
-	// then bounds the gap by n·ε — and the host certifies the readback
-	// with price-derived feasible duals via lsap.VerifyOptimalWithBound.
-	// A failed certificate tightens the floor and re-runs (twice), then
-	// fails with a typed *lsap.GapError: a bounded answer is attested
-	// within ε or withheld, never silently worse.
+	// lsap.NormalizedGap). The device's scaling loop stops as soon as a
+	// phase below lsap.AuctionDriver.Floor has run. At 0 that floor is
+	// 1/(n+1), the full schedule, exact for integer matrices; above 0
+	// it scales with Epsilon, since ε-complementary slackness bounds
+	// the gap by n·ε. The host certifies the readback with price-derived
+	// feasible duals via lsap.VerifyOptimalWithBound, once per solve: a
+	// readback they cannot attest within ε fails with a typed
+	// *lsap.GapError, so a bounded answer is attested or withheld,
+	// never silently worse.
 	Epsilon float64
 	// WarmPrices seeds the price tensor (benefit space; −v from a
 	// prior solve's duals). Length n, finite. The certificate never
@@ -89,8 +88,7 @@ type Result struct {
 	Solution *lsap.Solution
 	Stats    ipu.Stats
 	Modeled  time.Duration
-	// Recovery reports what fault recovery did, summed over the runs
-	// of the solve (a failed certificate re-runs at a tighter floor).
+	// Recovery reports what fault recovery did during the run.
 	Recovery poplar.RunReport
 }
 
@@ -117,7 +115,10 @@ func (s *Solver) SolveDetailed(c *lsap.Matrix) (*Result, error) {
 	return s.SolveDetailedContext(context.Background(), c)
 }
 
-// SolveDetailedContext is SolveDetailed with cancellation support.
+// SolveDetailedContext is SolveDetailed with cancellation support. A
+// readback the certificate refuses returns its error together with the
+// run's Result, whose Solution is nil, so a caller can account for the
+// device time the run spent.
 func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Result, error) {
 	n := c.N
 	if n == 0 {
@@ -127,9 +128,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	if err != nil {
 		return nil, err
 	}
-	// The device ε floor is lsap's: certification decides, and a failed
-	// certificate re-runs at a tighter floor.
-	epsMin := s.auction.Floor(c)
+	floor := s.auction.Floor(c)
 	p, err := s.program(n)
 	if err != nil {
 		return nil, err
@@ -137,36 +136,18 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	// Runs serialize per program: tensor data is program-resident.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.eng.ResetReport()
-	// A readback the certificate cannot attest within Epsilon re-runs
-	// the same program at a tighter floor, at most twice, before its
-	// *GapError stands.
-	for attempt := 1; ; attempt++ {
-		r, err := s.runOnce(ctx, p, c, benefit, price, maxB, epsMin)
-		var ge *lsap.GapError
-		if errors.As(err, &ge) && attempt < 3 {
-			epsMin /= 8
-			continue
-		}
-		return r, err
-	}
-}
-
-// runOnce executes the compiled auction once at the given ε floor and
-// certifies the readback with its price-derived duals.
-func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefit, price []float64, maxB, epsMin float64) (*Result, error) {
-	n := c.N
 	b, eng, dev := p.b, p.eng, p.dev
 	// Every run starts from the all-zero state of a fresh engine. The
-	// floor and the start are set outside the transfer barrier, so the
-	// fault schedule sees the same host transfers as on a freshly
-	// compiled program. A cold run leaves eps_start at 0, and the device
-	// starts at its own maxB/2; a warm run starts where lsap's rule puts
-	// it for this run's floor.
+	// floor (lsap's, the one end of every port's schedule) and the start
+	// are set outside the transfer barrier, so the fault schedule sees
+	// the same host transfers as on a freshly compiled program. A cold
+	// run leaves eps_start at 0, and the device starts at its own
+	// maxB/2; a warm run starts where lsap's rule puts it.
+	eng.ResetReport()
 	eng.ZeroState()
-	b.epsMin.SetScalar(epsMin)
+	b.epsMin.SetScalar(floor)
 	if s.opts.WarmPrices != nil {
-		b.epsStart.SetScalar(s.auction.StartEps(maxB, epsMin))
+		b.epsStart.SetScalar(s.auction.StartEps(maxB, floor))
 	}
 	dev.ResetClock()
 	if err := eng.HostWrite(b.benefit, benefit); err != nil {
@@ -202,10 +183,7 @@ func (s *Solver) runOnce(ctx context.Context, p *program, c *lsap.Matrix, benefi
 		return nil, fmt.Errorf("ipuauction: price readback failed: %w", err)
 	}
 	sol, err := s.auction.Certify(c, a, prices)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: eng.Report()}, nil
+	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: eng.Report()}, err
 }
 
 // programKey is the auction's compile fingerprint, following core's:

@@ -116,46 +116,3 @@ func TestNonComparableInjectorBypassesCache(t *testing.T) {
 		t.Fatalf("cache saw %d acquisitions, want none", after.Hits+after.Misses-before.Hits-before.Misses)
 	}
 }
-
-// runCounter counts host writes, one per run of an auction program
-// solving without warm prices.
-type runCounter struct{ runs int }
-
-func (c *runCounter) Check(p faultinject.Point) *faultinject.FaultError {
-	if p.Kind == faultinject.KindHostWrite {
-		c.runs++
-	}
-	return nil
-}
-
-// TestTightenRetryReusesProgram: a readback the certificate cannot
-// attest re-runs the same compiled program at a tighter floor; only
-// the first run's cache miss builds.
-func TestTightenRetryReusesProgram(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := lsap.NewMatrix(10)
-	for i := range m.Data {
-		m.Data[i] = 3 * rng.Float64()
-	}
-	c := &runCounter{}
-	o := testOptions()
-	o.Epsilon, o.Fault = 0.001, c
-	s, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := cache.Stats()
-	sol, err := s.Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lsap.VerifyOptimalWithBound(m, sol.Assignment, *sol.Potentials, 0.001); err != nil {
-		t.Fatal(err)
-	}
-	if c.runs < 2 {
-		t.Fatalf("solve ran the program %d time(s); the instance no longer exercises the tighten-retry", c.runs)
-	}
-	if builds := cache.Stats().Builds - before.Builds; builds != 1 {
-		t.Fatalf("%d runs built %d programs, want 1", c.runs, builds)
-	}
-}

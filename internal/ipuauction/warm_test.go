@@ -1,7 +1,6 @@
 package ipuauction
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -102,22 +101,20 @@ func TestWarmStartEndsAtColdEps(t *testing.T) {
 // TestWarmStartUnderFaults: transient exchange faults placed on the
 // auction phases that read or carry ε stay within the retry budget and
 // must not change a warm-started bounded run's outcome: checkpoint
-// recovery certifies it within ε of an independent JV optimum with the
-// warm start still in eps_start, or it fails with the fault-free run's
-// *lsap.GapError. The runs must also certify a solve whose first
-// readback the certificate rejected, so the warm start was recomputed
-// for a tighter floor. Random schedules over cold and warm frames are
-// conformance.BoundedSweep's.
+// recovery certifies every run within ε of an independent JV optimum,
+// with lsap's floor still in eps_min and the warm start in eps_start.
+// The small real-valued frames at a tight ε certify in the program's
+// one run, at a floor scaled to ε. Random schedules over cold and warm
+// frames are conformance.BoundedSweep's.
 func TestWarmStartUnderFaults(t *testing.T) {
 	type frame struct {
-		next  *lsap.Matrix
-		eps   float64
-		warm  []float64
-		clean error // the fault-free warm run's outcome
+		next *lsap.Matrix
+		eps  float64
+		warm []float64
 	}
 	var frames []frame
 	// Integer Gaussian frames at the stream's ε, and small real-valued
-	// ones at a tight ε whose first readback misses the target.
+	// ones at a tight ε.
 	for k := 0; k < 2; k++ {
 		prev, err := datasets.Gaussian(16, 500, int64(60+k))
 		if err != nil {
@@ -139,15 +136,6 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		}
 		frames = append(frames, frame{next: next, eps: 0.001, warm: priorPrices(t, testOptions(), prev)})
 	}
-	for k := range frames {
-		o := testOptions()
-		o.Epsilon, o.WarmPrices = frames[k].eps, frames[k].warm
-		s, err := New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, frames[k].clean = s.Solve(frames[k].next)
-	}
 
 	var schedules []*faultinject.Schedule
 	for _, spec := range []string{
@@ -163,7 +151,6 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		schedules = append(schedules, fault)
 	}
 
-	var certified, retried, typed int
 	for sched, fault := range schedules {
 		f := frames[sched%len(frames)]
 		ref, err := (cpuhung.JV{}).Solve(f.next)
@@ -178,12 +165,7 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		}
 		r, err := s.SolveDetailed(f.next)
 		if err != nil {
-			var ge *lsap.GapError
-			if !errors.As(err, &ge) || f.clean == nil {
-				t.Fatalf("schedule %d (%s): %v; fault-free the run gives %v", sched, fault, err, f.clean)
-			}
-			typed++
-			continue
+			t.Fatalf("schedule %d (%s): %v", sched, fault, err)
 		}
 		sol := r.Solution
 		if err := lsap.VerifyOptimalWithBound(f.next, sol.Assignment, *sol.Potentials, f.eps); err != nil {
@@ -192,28 +174,21 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		if g := lsap.NormalizedGap(sol.Cost, ref.Cost); g > f.eps+1e-12 {
 			t.Fatalf("schedule %d (%s): cost %g is %g above the JV optimum %g, want ≤ %g", sched, o.Fault, sol.Cost, g, ref.Cost, f.eps)
 		}
-		certified++
-		// The program that just served is the cache's most recent entry;
-		// its floor is below lsap's when the certificate sent the solve
-		// back for a tighter one.
+		if r.Recovery.Retries == 0 {
+			t.Fatalf("schedule %d (%s): certified without a recovery retry (%d fired)", sched, fault, fault.Fired())
+		}
+		// The program that just served is the cache's most recent entry.
 		p, err := s.program(f.next.N)
 		if err != nil {
 			t.Fatal(err)
 		}
 		floor := p.b.epsMin.ScalarValue()
-		if floor < s.auction.Floor(f.next) {
-			retried++
-		}
-		if r.Recovery.Retries == 0 {
-			t.Fatalf("schedule %d (%s): certified without a recovery retry (%d fired)", sched, fault, fault.Fired())
+		if want := s.auction.Floor(f.next); floor != want {
+			t.Fatalf("schedule %d (%s): eps_min %g after recovery, want lsap's floor %g", sched, fault, floor, want)
 		}
 		_, maxB, _, _ := s.auction.Prepare(f.next)
 		if got, want := p.b.epsStart.ScalarValue(), s.auction.StartEps(maxB, floor); got != want {
 			t.Fatalf("schedule %d (%s): eps_start %g after recovery, want the warm start %g", sched, fault, got, want)
 		}
-	}
-	t.Logf("certified %d (%d after a tighten-retry), gap refusals %d", certified, retried, typed)
-	if certified == 0 || retried == 0 {
-		t.Fatalf("certified %d, %d after a tighten-retry: the runs no longer certify a recovered or a retried solve", certified, retried)
 	}
 }

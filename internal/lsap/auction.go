@@ -19,12 +19,14 @@ const AuctionEpsScale = 4
 // benefits b[i][j] = max C − C[i][j] ≥ 0. Every phase ends with all
 // rows assigned at ε-complementary slackness, so the price-derived
 // duals (see PriceDuals) certify the phase's assignment within n·ε.
-// With Epsilon = 0 the schedule drives ε below 1/(n+1), which is
-// exactly optimal on integer costs; with Epsilon > 0 it stops at the
-// first phase certified within Epsilon. A bounded answer is attested
-// within Epsilon by VerifyOptimalWithBound or withheld as a *GapError.
-// Floor and StartEps are the schedule's two ends, shared by the host
-// schedule (Solve) and the IPU port's on-device one.
+// Every schedule ends after its first phase below Floor; with Epsilon
+// > 0 it may stop earlier, at the first phase certified within
+// Epsilon. With Epsilon = 0 the floor is 1/(n+1), which is exactly
+// optimal on integer costs. A bounded answer is attested within
+// Epsilon by VerifyOptimalWithBound or withheld as a *GapError, and
+// no port re-runs a schedule at a tighter floor. Floor and StartEps
+// are the schedule's two ends, shared by the host schedule (Solve)
+// and the IPU port's on-device one.
 type AuctionDriver struct {
 	// Solver names the port in errors and in *GapError.
 	Solver string
@@ -107,35 +109,41 @@ func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, pric
 	return benefit, maxB, price, nil
 }
 
-// Floor is the ε below which the schedule's last phase runs. 1/(n+1)
-// gives exactness on integer matrices. A bounded target raises it:
-// ε-complementary slackness at floor e leaves an absolute gap of at
-// most n·e, and the certified gap is normalized by 1+|bound|, so a
-// floor of Epsilon·(1+lb)/n, with lb the sum of row minima (a cheap
-// lower bound on the optimum that the dual bound tracks), lands the
-// normalized gap near Epsilon. The raised floor only places the
+// Floor is the ε below which the schedule's last phase runs, the one
+// end of every port's schedule. ε-complementary slackness at floor e
+// leaves an absolute gap of at most n·e, and the certified gap is
+// normalized by 1+|bound|, so a bounded target's floor is
+// Epsilon·(1+lb)/n, with lb the sum of row minima clamped at 0 (a
+// cheap lower bound on the optimum that the dual bound tracks): it
+// lands the normalized gap near Epsilon. A phase below 1/(n+1) is
+// already exact on an integer matrix, so there the floor is raised to
+// 1/(n+1), and an exact target (Epsilon = 0) ends at 1/(n+1) on any
+// matrix. A floor that underflows is kept at the smallest positive
+// float64, so the schedule still ends. The floor only places the
 // schedule: the certificate decides every bounded answer.
 func (d AuctionDriver) Floor(c *Matrix) float64 {
 	n := c.N
-	floor := 1.0 / float64(n+1)
+	exact := 1.0 / float64(n+1)
 	if d.Epsilon <= 0 || n == 0 {
-		return floor
+		return exact
 	}
-	lb := 0.0
+	lb, integer := 0.0, true
 	for i := 0; i < n; i++ {
 		row := c.Row(i)
 		min := row[0]
-		for _, v := range row[1:] {
+		for _, v := range row {
 			if v < min {
 				min = v
 			}
+			integer = integer && v == math.Trunc(v)
 		}
 		lb += min
 	}
-	if lb < 0 {
-		lb = 0
+	floor := d.Epsilon * (1 + max(lb, 0)) / float64(n)
+	if integer {
+		return max(floor, exact)
 	}
-	return max(floor, d.Epsilon*(1+lb)/float64(n))
+	return max(floor, math.SmallestNonzeroFloat64)
 }
 
 // StartEps is the ε of the schedule's first phase. A cold solve starts
@@ -143,8 +151,8 @@ func (d AuctionDriver) Floor(c *Matrix) float64 {
 // equilibrium need the coarse phases. A warm-started bounded solve
 // (WarmPrices set, Epsilon > 0) starts near equilibrium and skips
 // them: the start is divided by AuctionEpsScale for as long as the
-// quotient stays at or above floor. A schedule that stops after its
-// first phase below floor, as the IPU port's does, then runs only the
+// quotient stays at or above floor. A schedule that runs to its first
+// phase below floor, as the IPU port's always does, then runs only the
 // cold schedule's last two phases and ends at the same final ε, so its
 // certificate is just as strong.
 //
@@ -170,9 +178,10 @@ func (d AuctionDriver) StartEps(maxB, floor float64) float64 {
 
 // Solve runs the host ε schedule over phase: ε starts at StartEps and
 // is divided by AuctionEpsScale after every phase until a phase is
-// certified within Epsilon (when > 0) or has run below 1/(n+1). The
-// last phase's assignment is returned with its certificate, or a
-// *GapError when a bounded target is not attested.
+// certified within Epsilon (when > 0) or has run below Floor. The last
+// phase's assignment is returned with its certificate, or a *GapError
+// when a bounded target is not attested. An exact target certifies
+// only its last phase, the one it returns.
 func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
 	n := c.N
 	if n == 0 {
@@ -182,19 +191,21 @@ func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	eps := d.StartEps(maxB, d.Floor(c))
-	epsMin := 1.0 / float64(n+1)
+	floor := d.Floor(c)
+	eps := d.StartEps(maxB, floor)
 	assigned := make(Assignment, n)
 	for {
 		if err := phase(eps, benefit, price, assigned); err != nil {
 			return nil, err
 		}
-		sol, err := d.certificate(c, assigned, price)
-		if err != nil {
-			return nil, err
-		}
-		if (d.Epsilon > 0 && sol.Gap <= d.Epsilon) || eps < epsMin {
-			return d.attest(c, sol)
+		if last := eps < floor; last || d.Epsilon > 0 {
+			sol, err := d.certificate(c, assigned, price)
+			if err != nil {
+				return nil, err
+			}
+			if last || sol.Gap <= d.Epsilon {
+				return d.attest(c, sol)
+			}
 		}
 		eps /= AuctionEpsScale
 	}

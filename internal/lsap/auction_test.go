@@ -58,7 +58,7 @@ func TestWarmStartRule(t *testing.T) {
 		{"cold, maxB < 0", nil, 0.05, -8, 262, 1},
 		{"warm bounded", warm, 0.05, 64000, 262, 500},
 		{"warm bounded, quotient on the floor", warm, 0.05, 64000, 500, 500},
-		{"warm bounded, tightened floor", warm, 0.05, 64000, 262.0 / 8, 125},
+		{"warm bounded, lower floor", warm, 0.05, 64000, 262.0 / 8, 125},
 		{"warm bounded, maxB 0", warm, 0.05, 0, 262, 1},
 		{"warm exact", warm, 0, 64000, 1.0 / 3, 32000},
 		{"warm bounded, start below the floor", warm, 0.05, 64000, 40000, 32000},
@@ -74,8 +74,9 @@ func TestWarmStartRule(t *testing.T) {
 }
 
 // TestWarmStartFloor: the floor is 1/(n+1) for an exact target and
-// Epsilon·(1+lb)/n, lb the sum of row minima clamped at 0, when that
-// is higher.
+// Epsilon·(1+lb)/n, lb the sum of row minima clamped at 0, for a
+// bounded one. Only an integer matrix, whose phase below 1/(n+1) is
+// already exact, raises a bounded floor to 1/(n+1).
 func TestWarmStartFloor(t *testing.T) {
 	m, err := FromRows([][]float64{
 		{40, 90, 70},
@@ -89,6 +90,18 @@ func TestWarmStartFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frac, err := FromRows([][]float64{
+		{0.5, 2.25, 1.75},
+		{2, 0.25, 1.5},
+		{1.25, 0.75, 2.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fracNeg, err := FromRows([][]float64{{-0.5, 1.5}, {2.5, -1.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		m    *Matrix
@@ -99,6 +112,9 @@ func TestWarmStartFloor(t *testing.T) {
 		{"bounded", m, 0.05, 0.05 * (1 + 40 + 20 + 30) / 3},
 		{"bounded below the exact floor", m, 0.001, 1.0 / 4},
 		{"negative row minima clamp lb at 0", neg, 2, 2 * (1 + 0) / 2},
+		{"real-valued exact", frac, 0, 1.0 / 4},
+		{"real-valued bounded below the exact floor", frac, 0.0625, 0.0625 * (1 + 0.5 + 0.25 + 0.75) / 3},
+		{"real-valued floor that underflows stays positive", fracNeg, 5e-324, math.SmallestNonzeroFloat64},
 	} {
 		if got := (AuctionDriver{Epsilon: tc.eps}).Floor(tc.m); got != tc.want {
 			t.Errorf("%s: Floor = %g, want %g", tc.name, got, tc.want)

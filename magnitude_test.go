@@ -101,7 +101,8 @@ func TestTinyBidsRaisePrices(t *testing.T) {
 // round the small costs away and no bounded answer can be certified
 // within ε. Each of these ended in a typed *lsap.GapError on every
 // device (best certified gaps 80 and 93); the ladder now serves them
-// at Exact on the same device.
+// at Exact on the same device. The refused run's device time counts:
+// on the simulated devices Result.Modeled sums both attempts.
 func TestUncertifiedBoundedServedExact(t *testing.T) {
 	for _, tc := range []struct {
 		costs [][]float64
@@ -132,6 +133,14 @@ func TestUncertifiedBoundedServedExact(t *testing.T) {
 			if len(atts) != 2 || !errors.As(atts[0].Err, &ge) || atts[0].Quality != Bounded(0.05) ||
 				atts[1].Err != nil || atts[1].Quality != Exact() {
 				t.Errorf("%v %v: attempts %+v, want a refused bounded one, then exact", tc.costs, d, atts)
+				continue
+			}
+			if d == DeviceCPU {
+				continue
+			}
+			if sum := atts[0].Modeled + atts[1].Modeled; res.Modeled != sum || res.Modeled <= atts[1].Modeled {
+				t.Errorf("%v %v: modeled %v, attempts %v + %v; want their sum, above the exact attempt's",
+					tc.costs, d, res.Modeled, atts[0].Modeled, atts[1].Modeled)
 			}
 		}
 	}

@@ -121,6 +121,45 @@ func TestSolveBoundedCertified(t *testing.T) {
 	}
 }
 
+// TestSolveBoundedRealValued: on real-valued costs every device serves
+// a bounded request at the requested tier in one attempt, within ε of
+// the exact optimum. The schedule ends at a floor scaled to ε; a floor
+// held at the integer-exact 1/(n+1) left ε-slackness a gap of up to
+// n/(n+1), far above ε·(1+opt), so every port refused such requests.
+func TestSolveBoundedRealValued(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, n := range []int{8, 24, 40} {
+		costs := make([][]float64, n)
+		for i := range costs {
+			costs[i] = make([]float64, n)
+			for j := range costs[i] {
+				costs[i][j] = 3 * rng.Float64()
+			}
+		}
+		exact, err := Solve(costs, OnCPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{0.001, 0.01} {
+			for _, d := range allDevices {
+				q := Bounded(eps)
+				res, err := Solve(costs, OnDevice(d), WithQuality(q))
+				if err != nil {
+					t.Fatalf("n=%d %v %v: %v", n, q, d, err)
+				}
+				if res.Quality != q || len(res.Report.Attempts) != 1 || res.Gap > eps {
+					t.Errorf("n=%d %v %v: quality %v, %d attempt(s), gap %g; want %v in one attempt within ε",
+						n, q, d, res.Quality, len(res.Report.Attempts), res.Gap, q)
+				}
+				if g := lsap.NormalizedGap(res.Cost, exact.Cost); res.Cost < exact.Cost-1e-9 || g > eps {
+					t.Errorf("n=%d %v %v: cost %g against the optimum %g (normalized gap %g), want within ε",
+						n, q, d, res.Cost, exact.Cost, g)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveBoundedRectangularAndMaximize: the ladder composes with the
 // rectangular padding and max→min conversion of the public API.
 func TestSolveBoundedRectangularAndMaximize(t *testing.T) {

@@ -10,7 +10,10 @@ import (
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/fastha"
 	"hunipu/internal/faultinject"
+	"hunipu/internal/gpuauction"
+	"hunipu/internal/ipuauction"
 	"hunipu/internal/lsap"
+	"hunipu/internal/poplar"
 )
 
 // ErrInvalidOption is wrapped by every option-validation failure
@@ -91,8 +94,11 @@ type Attempt struct {
 	WarmStarted bool
 	// Err is why the attempt failed (nil for the serving attempt).
 	Err error
-	// Wall is the real time this attempt took, queueing excluded.
-	Wall time.Duration
+	// Wall is the real time this attempt took, queueing excluded, and
+	// Modeled the simulated device time it spent (zero on the CPU). A
+	// bounded attempt the certificate refused reports its time too.
+	Wall    time.Duration
+	Modeled time.Duration
 	// Retries counts transient faults survived on this device via
 	// checkpoint-resume or transfer retry.
 	Retries int
@@ -247,10 +253,11 @@ func SolveContext(ctx context.Context, costs [][]float64, opts ...Option) (*Resu
 	start := time.Now()
 
 	// Degradation-ladder preparation: clamp any warm-start prior to
-	// feasibility for this matrix, then pick the path. Bounded(ε>0)
-	// consumes the prior as auction prices; the exact path consumes it
-	// by dual pre-reduction (tight prior edges become zeros, so the
-	// solved prefix of a streaming workload costs no augmenting work).
+	// feasibility for this matrix, then pick the tier's input.
+	// Bounded(ε>0) consumes the prior as auction prices; the exact path
+	// consumes it by dual pre-reduction (tight prior edges become zeros,
+	// so the solved prefix of a streaming workload costs no augmenting
+	// work).
 	var prior *lsap.Potentials
 	if c.warmSet && m.N > 0 {
 		prior, err = c.prepWarm(m, rowsN, colsN)
@@ -259,38 +266,30 @@ func SolveContext(ctx context.Context, costs [][]float64, opts ...Option) (*Resu
 		}
 	}
 	bounded := c.quality.IsBounded() && c.quality.Epsilon() > 0
-	exactM := m
+	in := m
 	if prior != nil && !bounded {
-		exactM = reduceMatrix(m, *prior)
+		in = reduceMatrix(m, *prior)
 	}
 
 	devices := append([]Device{c.device}, c.fallback...)
 	report := &Report{Primary: c.device, Served: c.device}
 	var (
 		sol     *lsap.Solution
-		modeled time.Duration
+		att     Attempt
 		lastErr error
-		quality Quality
 	)
 	for _, d := range devices {
 		t0 := time.Now()
-		var att Attempt
-		quality = c.quality
-		if bounded {
-			sol, modeled, att = c.solveBounded(ctx, d, m, prior)
-			// An answer the auction cannot certify within ε (its prices
-			// at a scale that rounds the small costs away) is served at
-			// Exact on the same device before the ladder moves on.
-			var ge *lsap.GapError
-			if errors.As(att.Err, &ge) {
-				att.Wall = time.Since(t0)
-				report.Attempts = append(report.Attempts, att)
-				t0, quality = time.Now(), Exact()
-				sol, modeled, att = c.solveOn(ctx, d, m)
-			}
-		} else {
-			sol, modeled, att = c.solveOn(ctx, d, exactM)
-			att.WarmStarted = prior != nil
+		sol, att = c.solveOn(ctx, d, c.quality, in, prior)
+		// An answer the auction cannot certify within ε (its prices at a
+		// scale that rounds the small costs away) is served at Exact on
+		// the same device, cold, before the ladder moves on.
+		var ge *lsap.GapError
+		if errors.As(att.Err, &ge) {
+			att.Wall = time.Since(t0)
+			report.Attempts = append(report.Attempts, att)
+			t0 = time.Now()
+			sol, att = c.solveOn(ctx, d, Exact(), m, nil)
 		}
 		att.Wall = time.Since(t0)
 		report.Attempts = append(report.Attempts, att)
@@ -325,11 +324,13 @@ func SolveContext(ctx context.Context, costs [][]float64, opts ...Option) (*Resu
 		Assignment: a,
 		Cost:       cost,
 		Device:     report.Served,
-		Modeled:    modeled,
 		Wall:       time.Since(start),
 		Report:     report,
-		Quality:    quality,
+		Quality:    att.Quality,
 		Gap:        sol.Gap,
+	}
+	for _, a := range report.Attempts {
+		res.Modeled += a.Modeled
 	}
 	if sol.Potentials != nil {
 		// An exact solve on the pre-reduced matrix certifies c−u′−v′;
@@ -374,9 +375,29 @@ func firedCount(inj faultinject.Injector) int64 {
 	return 0
 }
 
-// solveOn runs one device attempt.
-func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.Solution, time.Duration, Attempt) {
-	att := Attempt{Device: d}
+// solveOn runs one device attempt at tier q. Bounded(ε>0) routes to
+// the device's ε-scaling auction port (the IPU and GPU ports keep their
+// architectures' machine models), which stops at the first phase whose
+// readback the price-derived duals certify within ε, or refuses with a
+// *lsap.GapError; that certificate against m replaces the guard
+// layer's output attestation. Every other tier runs the device's exact
+// solver. prior, when non-nil, is the clamped warm start the attempt
+// consumes: its −v seeds the auction's prices, and an exact attempt's
+// m is already pre-reduced by it.
+func (c *config) solveOn(ctx context.Context, d Device, q Quality, m *lsap.Matrix, prior *lsap.Potentials) (*lsap.Solution, Attempt) {
+	att := Attempt{Device: d, Quality: q, WarmStarted: prior != nil}
+	eps := q.Epsilon()
+	var warm []float64
+	if eps > 0 && prior != nil {
+		warm = make([]float64, m.N)
+		for j, v := range prior.V {
+			warm[j] = -v
+		}
+	}
+	var (
+		sol *lsap.Solution
+		err error
+	)
 	switch d {
 	case DeviceIPU:
 		o := c.ipuOpts
@@ -387,67 +408,83 @@ func (c *config) solveOn(ctx context.Context, d Device, m *lsap.Matrix) (*lsap.S
 		if c.retries > 0 {
 			o.MaxRetries = c.retries
 		}
-		if c.sharded {
-			o = c.shardOptions(o)
-		}
-		o.Guard = c.resolveGuard(o.Guard, inj)
-		s, err := core.New(o)
-		if err != nil {
-			att.Err = err
-			return nil, 0, att
-		}
 		before := firedCount(inj)
-		r, err := s.SolveDetailedContext(ctx, m)
-		att.Faults = firedCount(inj) - before
-		if r != nil {
+		var rec poplar.RunReport
+		if eps > 0 {
+			var s *ipuauction.Solver
+			s, err = ipuauction.New(ipuauction.Options{Config: o.Config, MaxSupersteps: o.MaxSupersteps,
+				Fault: o.Fault, MaxRetries: o.MaxRetries, Epsilon: eps, WarmPrices: warm})
+			var r *ipuauction.Result
+			if err == nil {
+				r, err = s.SolveDetailedContext(ctx, m)
+			}
+			if r != nil {
+				sol, att.Modeled, rec = r.Solution, r.Modeled, r.Recovery
+			}
+		} else {
+			if c.sharded {
+				o = c.shardOptions(o)
+			}
+			o.Guard = c.resolveGuard(o.Guard, inj)
+			var s *core.Solver
+			s, err = core.New(o)
+			var r *core.Result
+			if err == nil {
+				r, err = s.SolveDetailedContext(ctx, m)
+			}
 			// A sharded solve reports its recovery and fabric work even
 			// when it fails.
-			att.Retries = r.Recovery.Retries
-			att.CheckpointsSaved = r.Recovery.CheckpointsSaved
-			att.CheckpointsRestored = r.Recovery.CheckpointsRestored
-			att.GuardTrips = r.Recovery.GuardTrips
-			att.RollbackEpochs = r.Recovery.RollbackEpochs
-			att.DetectionLatency = r.Recovery.DetectionLatency
-			att.GuardCycles = r.Stats.GuardCycles
-			att.ShardDetail = r.Fabric
+			if r != nil {
+				sol, att.Modeled, rec = r.Solution, r.Modeled, r.Recovery
+				att.GuardCycles, att.ShardDetail = r.Stats.GuardCycles, r.Fabric
+				if err == nil {
+					att.IPUDetail = r
+				}
+			}
 		}
-		if err != nil {
-			att.Err = err
-			return nil, 0, att
-		}
-		att.IPUDetail = r
-		return r.Solution, r.Modeled, att
-	case DeviceGPU:
-		o := c.gpuOpts
-		inj := c.injectorFor(d)
-		if inj != nil {
-			o.Fault = inj
-		}
-		s, err := fastha.New(o)
-		if err != nil {
-			att.Err = err
-			return nil, 0, att
-		}
-		before := firedCount(inj)
-		r, err := s.SolvePaddedContext(ctx, m)
 		att.Faults = firedCount(inj) - before
-		if err != nil {
-			att.Err = err
-			return nil, 0, att
+		att.Retries, att.CheckpointsSaved, att.CheckpointsRestored = rec.Retries, rec.CheckpointsSaved, rec.CheckpointsRestored
+		att.GuardTrips, att.RollbackEpochs, att.DetectionLatency = rec.GuardTrips, rec.RollbackEpochs, rec.DetectionLatency
+	case DeviceGPU:
+		if eps > 0 {
+			var s *gpuauction.Solver
+			s, err = gpuauction.New(gpuauction.Options{Epsilon: eps, WarmPrices: warm})
+			var r *gpuauction.Result
+			if err == nil {
+				r, err = s.SolveDetailedContext(ctx, m)
+			}
+			if r != nil {
+				sol, att.Modeled = r.Solution, r.Modeled
+			}
+		} else {
+			inj := c.injectorFor(d)
+			var s *fastha.Solver
+			s, err = fastha.New(fastha.Options{Fault: inj})
+			if err == nil {
+				before := firedCount(inj)
+				var r *fastha.Result
+				r, err = s.SolvePaddedContext(ctx, m)
+				att.Faults = firedCount(inj) - before
+				if err == nil {
+					sol, att.Modeled, att.GPUDetail = r.Solution, r.Modeled, r
+				}
+			}
 		}
-		att.GPUDetail = r
-		return r.Solution, r.Modeled, att
 	case DeviceCPU:
-		// The CPU baseline runs natively on the host: no simulated
-		// device, no injection — the always-available last resort.
-		sol, err := (cpuhung.JV{}).SolveContext(ctx, m)
-		if err != nil {
-			att.Err = err
-			return nil, 0, att
+		// The CPU runs natively on the host: no simulated device, no
+		// injection — the always-available last resort.
+		if eps > 0 {
+			sol, err = (cpuhung.Auction{Epsilon: eps, WarmPrices: warm}).SolveContext(ctx, m)
+		} else {
+			sol, err = (cpuhung.JV{}).SolveContext(ctx, m)
 		}
-		return sol, 0, att
 	default:
-		att.Err = fmt.Errorf("hunipu: unknown device %v", d)
-		return nil, 0, att
+		err = fmt.Errorf("hunipu: unknown device %v", d)
 	}
+	if err != nil {
+		att.Err = err
+		return nil, att
+	}
+	att.Gap = sol.Gap
+	return sol, att
 }
