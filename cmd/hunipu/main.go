@@ -243,7 +243,7 @@ func printReport(res *hunipu.Result) {
 	fmt.Println()
 	for _, a := range r.Attempts {
 		if a.Err != nil {
-			fmt.Printf("      attempt %v failed: %v\n", a.Device, a.Err)
+			fmt.Printf("      attempt %v failed after %v modeled: %v\n", a.Device, a.Modeled, a.Err)
 		}
 	}
 }

@@ -123,9 +123,9 @@ type Result struct {
 	Cost float64
 	// Device is the solver that ran.
 	Device Device
-	// Modeled is the simulated device time summed over the attempts in
-	// Report, a refused bounded run's included (zero for the CPU
-	// solver).
+	// Modeled is the simulated device time summed over every attempt in
+	// Report, the failed and refused ones included: each device the
+	// request touched (zero for the CPU solver).
 	Modeled time.Duration
 	// Wall is the real time the call took end to end.
 	Wall time.Duration

@@ -283,17 +283,16 @@ type SweepReport struct {
 	// *faultinject.CorruptionError, directly or wrapped in a
 	// *core.FabricError.
 	Corruptions int
-	// Detections counts guard trips, each once: the trips in a run's
-	// recovery report (recovered and terminal), or, for a failed run
-	// that returned no report, the terminal trip its typed error
-	// records. MaxLatency is the worst injection-to-detection distance
+	// Detections counts guard trips, each once: the trips in a HunIPU
+	// run's recovery report, recovered and terminal, failed runs
+	// included. MaxLatency is the worst injection-to-detection distance
 	// in supersteps.
 	Detections int
 	MaxLatency int64
 	// Rollbacks, ChipsLost, Reshards and Quarantined sum what HunIPU's
-	// recovery did on every HunIPU run, failed fabric runs included:
-	// checkpoint restores, chips dropped, moves onto survivor programs,
-	// and chips dropped because the guard kept catching them.
+	// recovery did on every HunIPU run, failed runs included: checkpoint
+	// restores, chips dropped, moves onto survivor programs, and chips
+	// dropped because the guard kept catching them.
 	Rollbacks   int
 	ChipsLost   int
 	Reshards    int
@@ -429,11 +428,6 @@ func (r *SweepReport) run(sw Sweep, ct *Certifier, target Target, sched *faultin
 	switch {
 	case errors.As(err, &ce):
 		r.Corruptions++
-		if res == nil {
-			// No recovery report came back: the typed error is the
-			// terminal trip's only record.
-			r.Detections++
-		}
 		r.MaxLatency = max(r.MaxLatency, ce.Latency)
 	case errors.As(err, &fe):
 		r.TypedFaults++

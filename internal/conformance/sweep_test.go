@@ -157,7 +157,7 @@ func TestSweepDeterministic(t *testing.T) {
 	}{
 		{AnnouncedSweep(), SweepReport{
 			Runs: 350, Clean: 118, Survived: 61, TypedFaults: 171, MaxGap: 0.0024473813020068525,
-			ChipsLost: 64, Reshards: 51, Rollbacks: 73,
+			ChipsLost: 64, Reshards: 51, Rollbacks: 108,
 			Targets: map[string]TargetTally{
 				"HunIPU": {50, 32}, "HunIPU-nocompress": {50, 32}, "HunIPU-2D": {50, 32},
 				"HunIPU-shard2": {50, 32}, "HunIPU-shard4": {50, 32},
@@ -166,12 +166,12 @@ func TestSweepDeterministic(t *testing.T) {
 		}},
 		{SilentSweep(poplar.GuardInvariants), SweepReport{
 			Runs: 150, Clean: 47, Survived: 83, Corruptions: 20,
-			Detections: 97, MaxLatency: 20001, Rollbacks: 77,
+			Detections: 111, MaxLatency: 20001, Rollbacks: 91,
 			Targets: map[string]TargetTally{"HunIPU": {50, 34}, "HunIPU-nocompress": {50, 35}, "HunIPU-2D": {50, 34}},
 		}},
 		{FabricLossSweep(), SweepReport{
 			Runs: 100, Clean: 10, Survived: 59, TypedFaults: 31,
-			ChipsLost: 68, Reshards: 62, Rollbacks: 97,
+			ChipsLost: 68, Reshards: 62, Rollbacks: 103,
 			Targets: map[string]TargetTally{"HunIPU-shard2": {50, 45}, "HunIPU-shard4": {50, 45}},
 		}},
 		{FabricSilentSweep(poplar.GuardChecksums), SweepReport{

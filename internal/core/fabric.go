@@ -193,9 +193,7 @@ func (s *Solver) runFabric(ctx context.Context, c *lsap.Matrix, cp *CompiledProg
 			}
 		}
 		lost |= 1 << chip
-		next, _, aerr := s.cache.Acquire(s.keyFor(c.N, lost), func() (*CompiledProgram, error) {
-			return s.compileProgram(c.N, lost)
-		})
+		next, _, aerr := s.acquire(c.N, lost)
 		if aerr != nil {
 			f.translate(aerr)
 			return cp, left, aerr
@@ -206,8 +204,10 @@ func (s *Solver) runFabric(ctx context.Context, c *lsap.Matrix, cp *CompiledProg
 		left = addReport(left, cp.eng.Report())
 		next.dev.ResumeClock(cp.dev.Stats())
 		next.eng.ResetReport()
+		next.eng.SetTrace(s.opts.TraceWriter != nil)
 		next.b.input, next.b.guardTol = cp.b.input, cp.b.guardTol
 		cp.b.input = nil
+		cp.eng.SetTrace(false)
 		cp.dirty = true
 		cp.mu.Unlock()
 		cp = next

@@ -58,13 +58,15 @@ type Options struct {
 	// MaxSupersteps bounds execution as a safety net. 0 means 2^40.
 	MaxSupersteps int64
 
-	// Profile collects a per-compute-set breakdown into
-	// Result.Profile (small overhead; off by default).
+	// Profile fills Result.Profile with the solve's per-compute-set
+	// breakdown. The engine counts every run, so Profile changes
+	// neither the program a solve gets nor what it costs.
 	Profile bool
 
 	// TraceWriter, when non-nil, receives the solve's BSP timeline in
 	// Chrome trace-event JSON after a successful run (open in
-	// chrome://tracing or Perfetto).
+	// chrome://tracing or Perfetto). Recording is switched on for this
+	// solve's run only, on the same shared program a plain solve gets.
 	TraceWriter io.Writer
 
 	// Epsilon is the zero tolerance for real-valued cost matrices:

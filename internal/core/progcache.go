@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 
 	"hunipu/internal/faultinject"
@@ -28,9 +27,9 @@ import (
 // when the program they would build is identical. Injectors are
 // compared by identity — a shared stateful injector (a serving layer's
 // chaos drill) reuses one program while its fault budget drains, and
-// solves differing only in fault schedule never share. The zero-valued
-// owner field pins nothing; a non-nil owner makes the program private
-// to one Solver (profiling, tracing, or a non-comparable injector).
+// solves differing only in fault schedule never share. Profile and
+// TraceWriter are not here: the engine instruments every run, so they
+// never change which program a solve gets.
 type programKey struct {
 	n   int
 	cfg ipu.Config
@@ -53,28 +52,6 @@ type programKey struct {
 	lost    uint64
 
 	fault faultinject.Injector
-	owner *Solver
-}
-
-// Fingerprint renders the key for logs and tests. Two keys are shared
-// iff they are ==; the string is descriptive, not the identity.
-func (k programKey) Fingerprint() string {
-	fault := "none"
-	if k.fault != nil {
-		fault = fmt.Sprintf("%T@%p", k.fault, k.fault)
-	}
-	private := ""
-	if k.owner != nil {
-		private = fmt.Sprintf(" private=%p", k.owner)
-	}
-	fabric := ""
-	if k.minIPUs > 0 {
-		fabric = fmt.Sprintf(" min=%d lost=%#x", k.minIPUs, k.lost)
-	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d compress=%v 2d=%v eps=%g guard=%s retries=%d cp=%d maxss=%d fault=%s%s%s",
-		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow,
-		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries,
-		k.checkpointEvery, k.maxSupersteps, fault, fabric, private)
 }
 
 // CompiledProgram is one shape's reusable artefact: the laid-out
@@ -83,10 +60,8 @@ func (k programKey) Fingerprint() string {
 // is immutable after construction; all mutable state lives in tensor
 // data and engine run-state, which every solve resets. Runs serialize
 // on mu — tensor data is program-resident, so one instance executes
-// one solve at a time (callers wanting same-shape parallelism hold
-// distinct fingerprints, e.g. distinct private owners).
+// one solve at a time.
 type CompiledProgram struct {
-	key programKey
 	b   *builder
 	eng *poplar.Engine
 	dev *ipu.Device
@@ -99,13 +74,9 @@ type CompiledProgram struct {
 	dirty bool
 }
 
-// ProgramCache is HunIPU's instance of the shared single-flight LRU
-// (poplar.ProgramCache), keyed by compile fingerprint. It embeds the
-// generic cache instead of aliasing it because the key refers back to
-// Solver, which holds the cache.
-type ProgramCache struct {
-	*poplar.ProgramCache[programKey, *CompiledProgram]
-}
+// ProgramCache is HunIPU's instance of the shared single-flight LRU,
+// keyed by compile fingerprint.
+type ProgramCache = poplar.ProgramCache[programKey, *CompiledProgram]
 
 // CacheStats is a point-in-time snapshot of ProgramCache counters.
 type CacheStats = poplar.CacheStats
@@ -124,18 +95,23 @@ func DefaultCache() *ProgramCache { return defaultCache }
 // Capacity ≤ 0 disables caching: every acquisition builds an ephemeral
 // program that is dropped after the solve.
 func NewProgramCache(capacity int) *ProgramCache {
-	return &ProgramCache{poplar.NewProgramCache[programKey, *CompiledProgram](capacity)}
+	return poplar.NewProgramCache[programKey, *CompiledProgram](capacity)
+}
+
+// acquire returns the program for an n×n problem on the chips left
+// after dropping the lost set, and whether this call built it: a
+// solve's first program and every fabric survivor come from here.
+func (s *Solver) acquire(n int, lost uint64) (*CompiledProgram, bool, error) {
+	return s.cache.AcquireFor(s.opts.Fault, s.keyFor(n, lost), func() (*CompiledProgram, error) {
+		return s.compileProgram(n, lost)
+	})
 }
 
 // keyFor derives the solver's compile fingerprint for an n×n problem
-// on the chips left after dropping the lost set (0 for every solve
-// that has lost none). Options that embed per-solver host-side state
-// the fingerprint cannot capture by value — a profiling accumulator, a
-// trace writer, or an injector whose dynamic type Go cannot compare —
-// pin the program to this Solver instead of sharing it process-wide.
+// on the chips left after dropping the lost set.
 func (s *Solver) keyFor(n int, lost uint64) programKey {
 	o := s.opts
-	k := programKey{
+	return programKey{
 		n:                  n,
 		cfg:                o.survivors(lost).Config,
 		colSegment:         o.ColSegment,
@@ -149,18 +125,8 @@ func (s *Solver) keyFor(n int, lost uint64) programKey {
 		maxSupersteps:      o.MaxSupersteps,
 		minIPUs:            o.MinIPUs,
 		lost:               lost,
+		fault:              o.Fault,
 	}
-	if o.Fault != nil {
-		if reflect.TypeOf(o.Fault).Comparable() {
-			k.fault = o.Fault
-		} else {
-			k.owner = s
-		}
-	}
-	if o.Profile || o.TraceWriter != nil {
-		k.owner = s
-	}
-	return k
 }
 
 // compileProgram is the cold path: graph construction, ahead-of-run
@@ -207,12 +173,6 @@ func (s *Solver) compileProgram(n int, lost uint64) (*CompiledProgram, error) {
 	if s.opts.MaxSupersteps != 0 {
 		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))
 	}
-	if s.opts.Profile {
-		engOpts = append(engOpts, poplar.WithProfiling())
-	}
-	if s.opts.TraceWriter != nil {
-		engOpts = append(engOpts, poplar.WithTrace())
-	}
 	eng, err := poplar.NewEngine(b.g, prog, dev, engOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: graph compilation failed: %w", err)
@@ -220,5 +180,5 @@ func (s *Solver) compileProgram(n int, lost uint64) (*CompiledProgram, error) {
 	if s.opts.Guard != poplar.GuardOff {
 		b.registerInvariants(eng)
 	}
-	return &CompiledProgram{key: s.keyFor(n, lost), b: b, eng: eng, dev: dev}, nil
+	return &CompiledProgram{b: b, eng: eng, dev: dev}, nil
 }

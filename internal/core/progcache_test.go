@@ -122,7 +122,7 @@ func TestFingerprintIsolation(t *testing.T) {
 		s := newSolver(t, o)
 		k := s.keyFor(m.N, 0)
 		if prev, dup := keys[k]; dup {
-			t.Fatalf("variants %q and %q share fingerprint %s", prev, v.name, k.Fingerprint())
+			t.Fatalf("variants %q and %q share fingerprint %+v", prev, v.name, k)
 		}
 		keys[k] = v.name
 		if _, err := s.SolveDetailed(m); err != nil {
@@ -134,31 +134,60 @@ func TestFingerprintIsolation(t *testing.T) {
 	}
 }
 
-// TestNonComparableInjectorPinsProgram: an injector whose dynamic type
-// Go cannot compare (e.g. one holding a func field) must not panic the
-// fingerprint map, and must pin the program to its solver.
-func TestNonComparableInjectorPinsProgram(t *testing.T) {
+// TestNonComparableInjectorBypassesCache: an injector whose dynamic
+// type Go cannot compare (e.g. one holding a func field) cannot be a
+// map key; each solve builds a program of its own instead of panicking
+// inside the cache, and the cache never sees it.
+func TestNonComparableInjectorBypassesCache(t *testing.T) {
 	o, pc := cacheOptions(4)
 	o.Fault = funcInjector{fn: func() {}}
-	s1 := newSolver(t, o)
-	s2 := newSolver(t, o)
-	k1, k2 := s1.keyFor(12, 0), s2.keyFor(12, 0)
-	if k1.owner != s1 || k2.owner != s2 {
-		t.Fatalf("non-comparable injector did not pin programs to their solvers")
-	}
-	if k1 == k2 {
-		t.Fatal("distinct solvers with non-comparable injectors share a fingerprint")
-	}
+	s := newSolver(t, o)
 	rng := rand.New(rand.NewSource(4))
 	m := randomIntMatrix(rng, 12, 50)
-	if _, err := s1.SolveDetailed(m); err != nil {
+	for i := 0; i < 2; i++ {
+		r, err := s.SolveDetailed(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached {
+			t.Errorf("solve %d reported a cached program", i)
+		}
+	}
+	if st := pc.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("cache saw %d acquisitions and holds %d entries, want none", st.Hits+st.Misses, st.Entries)
+	}
+}
+
+// TestInstrumentedSolvesShareProgram: Profile and TraceWriter
+// instrument the run, not the program, so solves with them on share
+// the plain solve's program. hunipu.Solve makes a Solver per call; 16
+// profiled ones on a 16-entry cache must neither build nor evict.
+func TestInstrumentedSolvesShareProgram(t *testing.T) {
+	o, pc := cacheOptions(DefaultCacheCapacity)
+	m := randomIntMatrix(rand.New(rand.NewSource(14)), 16, 50)
+	if _, err := newSolver(t, o).SolveDetailed(m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.SolveDetailed(m); err != nil {
+	profiled := o
+	profiled.Profile = true
+	for i := 0; i < DefaultCacheCapacity; i++ {
+		r, err := newSolver(t, profiled).SolveDetailed(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Cached || len(r.Profile) == 0 {
+			t.Fatalf("profiled solve %d: Cached = %v with %d profile entries, want a cached program and a profile", i, r.Cached, len(r.Profile))
+		}
+	}
+	r, err := newSolver(t, o).SolveDetailed(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := pc.Stats(); st.Builds != 2 {
-		t.Errorf("Builds = %d, want 2 (one per pinned solver)", st.Builds)
+	if !r.Cached {
+		t.Error("plain solve after the profiled ones rebuilt its program")
+	}
+	if st := pc.Stats(); st.Builds != 1 || st.Entries != 1 {
+		t.Errorf("Builds/Entries = %d/%d, want 1/1", st.Builds, st.Entries)
 	}
 }
 
@@ -350,7 +379,7 @@ func TestCacheBuildFailureNotMemoized(t *testing.T) {
 		if fail {
 			return nil, errBuildFailed
 		}
-		return &CompiledProgram{key: key}, nil
+		return &CompiledProgram{}, nil
 	}
 	if _, _, err := pc.Acquire(key, build); err == nil {
 		t.Fatal("failed build returned no error")

@@ -62,7 +62,10 @@ func (s *Solver) Name() string {
 // Options returns the resolved options.
 func (s *Solver) Options() Options { return s.opts }
 
-// Result is a solve with its modeled device profile.
+// Result is a solve with its modeled device profile. A solve that
+// fails after reaching the device returns its Result with the error,
+// Solution nil: Stats, Modeled, MaxTileBytes, Recovery, Fabric and
+// Profile then report what the failed run spent.
 type Result struct {
 	Solution *lsap.Solution
 	// Stats is the device profile of the solve (host transfers and
@@ -81,15 +84,16 @@ type Result struct {
 	// and therefore skipped construction, verification, and compilation
 	// entirely.
 	Cached bool
-	// Profile is the per-compute-set breakdown (nil unless
-	// Options.Profile is set), sorted by descending compute cycles.
+	// Profile is this solve's per-compute-set breakdown (nil unless
+	// Options.Profile is set), sorted by descending compute cycles. A
+	// solve that moved onto a survivor program reports the last one's.
 	Profile []poplar.CSProfile
 	// Recovery reports what the fault-recovery machinery did during the
-	// solve: transient faults survived, checkpoints saved and restored.
+	// solve: transient faults survived, checkpoints saved and restored,
+	// guard trips, the terminal one of a failed solve included.
 	Recovery poplar.RunReport
 	// Fabric reports chip losses when Options.MinIPUs is set (nil
-	// otherwise). Such a solve returns its Result, with Fabric, Stats
-	// and Recovery filled in, even when it fails.
+	// otherwise).
 	Fabric *Fabric
 }
 
@@ -134,9 +138,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	}
 
 	compileStart := time.Now()
-	cp, built, err := s.cache.Acquire(s.keyFor(n, 0), func() (*CompiledProgram, error) {
-		return s.compileProgram(n, 0)
-	})
+	cp, built, err := s.acquire(n, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +147,12 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	// on (see runFabric), so the release reads cp when the solve ends.
 	cp.mu.Lock()
 	defer func() {
-		// The pristine input copy is instance state: release it when the
-		// solve ends so a warm cached program never pins a matrix-sized
-		// buffer (see the heap-retention regression test).
+		// The pristine input copy and the trace are instance state:
+		// release them when the solve ends so a warm cached program never
+		// pins a matrix-sized buffer (see the heap-retention regression
+		// test) or a timeline.
 		cp.b.input = nil
+		cp.eng.SetTrace(false)
 		cp.mu.Unlock()
 	}()
 	compileTime := time.Since(compileStart)
@@ -160,13 +164,13 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		cp.dirty = false
 	}
 	cp.eng.ResetReport()
+	cp.eng.SetTrace(s.opts.TraceWriter != nil)
 	// The clock reset precedes the host write so injection-schedule
 	// superstep coordinates are relative to the solve, every solve.
 	cp.dev.ResetClock()
 	//hunipulint:ignore lockdiscipline cp.mu intentionally serializes whole solves; tensor data is program-resident and the simulated engine takes no locks
 	if err := cp.eng.HostWrite(cp.b.slack, c.Data); err != nil {
-		cp.dirty = true
-		return nil, fmt.Errorf("core: input transfer failed: %w", err)
+		return failure{s: s, cp: cp, fab: fab}.with(fmt.Errorf("core: input transfer failed: %w", err))
 	}
 	if s.opts.Guard != poplar.GuardOff {
 		// Pristine host-side copy for the invariant probes and the final
@@ -183,7 +187,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		err = cp.eng.RunContext(ctx)
 	}
 	b, eng, dev := cp.b, cp.eng, cp.dev
-	fail := failure{cp: cp, fab: fab, left: left}
+	fail := failure{s: s, cp: cp, fab: fab, left: left}
 	if err != nil {
 		if _, ok := AsFabric(err); ok {
 			return fail.with(err)
@@ -239,32 +243,22 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		}
 		pots = p
 	}
-	res := &Result{
-		Solution:     &lsap.Solution{Assignment: a, Cost: a.Cost(c), Potentials: pots},
-		Stats:        dev.Stats(),
-		Modeled:      dev.ModeledTime(),
-		MaxTileBytes: dev.MaxAllocated(),
-		CompileHost:  compileTime,
-		Cached:       !built,
-		Recovery:     addReport(left, eng.Report()),
-		Fabric:       fab,
-	}
-	if s.opts.Profile {
-		res.Profile = eng.Profile()
-	}
 	if s.opts.TraceWriter != nil {
 		//hunipulint:ignore lockdiscipline trace export snapshots engine state under the same per-program serialization; the time formatter cannot re-enter cp.mu
 		if err := eng.WriteTrace(s.opts.TraceWriter); err != nil {
-			return nil, fmt.Errorf("core: trace export: %w", err)
+			return fail.with(fmt.Errorf("core: trace export: %w", err))
 		}
 	}
+	res := s.spent(cp, left, fab)
+	res.Solution = &lsap.Solution{Assignment: a, Cost: a.Cost(c), Potentials: pots}
+	res.CompileHost, res.Cached = compileTime, !built
 	return res, nil
 }
 
 // failure ends a solve that went wrong on cp: the program is marked
-// dirty and, for a multi-chip solve, what the fabric did is returned
-// alongside the error.
+// dirty, and what the solve spent comes back with the error.
 type failure struct {
+	s    *Solver
 	cp   *CompiledProgram
 	fab  *Fabric
 	left poplar.RunReport // reports of programs the solve moved off
@@ -272,9 +266,22 @@ type failure struct {
 
 func (f failure) with(err error) (*Result, error) {
 	f.cp.dirty = true
-	if f.fab == nil {
-		return nil, err
+	return f.s.spent(f.cp, f.left, f.fab), err
+}
+
+// spent is the Result of what a solve that ended on cp spent on the
+// device, whether or not it succeeded; left sums the recovery reports
+// of the programs it moved off.
+func (s *Solver) spent(cp *CompiledProgram, left poplar.RunReport, fab *Fabric) *Result {
+	res := &Result{
+		Stats:        cp.dev.Stats(),
+		Modeled:      cp.dev.ModeledTime(),
+		MaxTileBytes: cp.dev.MaxAllocated(),
+		Recovery:     addReport(left, cp.eng.Report()),
+		Fabric:       fab,
 	}
-	dev := f.cp.dev
-	return &Result{Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: addReport(f.left, f.cp.eng.Report()), Fabric: f.fab}, err
+	if s.opts.Profile {
+		res.Profile = cp.eng.Profile()
+	}
+	return res
 }

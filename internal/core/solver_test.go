@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -439,12 +440,22 @@ func TestSolveProfileBreakdown(t *testing.T) {
 	o := testOptions()
 	o.Profile = true
 	s := newSolver(t, o)
-	r, err := s.SolveDetailed(randomIntMatrix(rng, 24, 120))
+	m := randomIntMatrix(rng, 24, 120)
+	r, err := s.SolveDetailed(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Profile) == 0 {
 		t.Fatal("no profile collected")
+	}
+	// The profile is the run's: a second solve on the same program
+	// reports the same profile, not the sum of both.
+	again, err := s.SolveDetailed(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || !reflect.DeepEqual(again.Profile, r.Profile) {
+		t.Fatalf("second solve (Cached = %v) profile\n%+v\nwant the first's\n%+v", again.Cached, again.Profile, r.Profile)
 	}
 	names := map[string]bool{}
 	for _, p := range r.Profile {
@@ -472,8 +483,13 @@ func TestSolveSuperstepBackstop(t *testing.T) {
 	o.MaxSupersteps = 10 // far too few to finish
 	s := newSolver(t, o)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := s.Solve(randomIntMatrix(rng, 16, 160)); err == nil {
+	r, err := s.SolveDetailed(randomIntMatrix(rng, 16, 160))
+	if err == nil {
 		t.Fatal("superstep backstop never triggered")
+	}
+	// The failed solve still reports what it spent on the device.
+	if r == nil || r.Solution != nil || r.Modeled <= 0 {
+		t.Fatalf("failed solve returned %+v, want its Result with Modeled > 0 and no Solution", r)
 	}
 }
 
@@ -483,7 +499,8 @@ func TestSolveTraceWriter(t *testing.T) {
 	o := testOptions()
 	o.TraceWriter = &buf
 	s := newSolver(t, o)
-	if _, err := s.Solve(randomIntMatrix(rng, 12, 60)); err != nil {
+	m := randomIntMatrix(rng, 12, 60)
+	if _, err := s.Solve(m); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -494,6 +511,16 @@ func TestSolveTraceWriter(t *testing.T) {
 	}
 	if len(parsed.TraceEvents) < 10 {
 		t.Fatalf("trace has only %d events", len(parsed.TraceEvents))
+	}
+	// The trace is the run's: a second solve on the same program writes
+	// the same timeline, not both runs'.
+	first := append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if _, err := s.Solve(m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), first) {
+		t.Fatalf("second solve wrote a %d-byte trace, want the first's %d bytes", buf.Len(), len(first))
 	}
 }
 

@@ -72,7 +72,9 @@ func New(opts Options) (*Solver, error) {
 // Name implements lsap.Solver.
 func (s *Solver) Name() string { return "FastHA" }
 
-// Result is a solve with its modeled GPU profile.
+// Result is a solve with its modeled GPU profile. A solve that fails
+// after reaching the device returns its Result with the error, Solution
+// nil, so a caller can account for the device time it spent.
 type Result struct {
 	Solution *lsap.Solution
 	Stats    gpu.Stats
@@ -127,12 +129,13 @@ func (s *Solver) SolvePaddedContext(ctx context.Context, c *lsap.Matrix) (*Resul
 	padded := c.PadToPow2(pad)
 	r, err := s.SolveDetailedContext(ctx, padded)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	a := lsap.Unpad(r.Solution.Assignment, n)
 	for i, j := range a {
 		if j < 0 {
-			return nil, fmt.Errorf("fastha: padded solve matched real row %d to a padding column", i)
+			r.Solution = nil
+			return r, fmt.Errorf("fastha: padded solve matched real row %d to a padding column", i)
 		}
 	}
 	r.Solution = &lsap.Solution{Assignment: a, Cost: a.Cost(c)}
@@ -200,23 +203,22 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	if maxIter == 0 {
 		maxIter = 50 * int64(n) * int64(n)
 	}
-	if err := d.run(ctx, maxIter); err != nil {
+	err = d.run(ctx, maxIter)
+	res := &Result{Stats: dev.Stats(), Modeled: dev.ModeledTime()}
+	if err != nil {
 		if fe, ok := faultinject.AsFault(err); ok {
-			return nil, fe
+			return res, fe
 		}
-		return nil, err
+		return res, err
 	}
 
 	a := make(lsap.Assignment, n)
 	copy(a, st.rowStar)
 	if err := a.Validate(n); err != nil {
-		return nil, fmt.Errorf("fastha: produced invalid matching: %w", err)
+		return res, fmt.Errorf("fastha: produced invalid matching: %w", err)
 	}
-	return &Result{
-		Solution: &lsap.Solution{Assignment: a, Cost: a.Cost(c)},
-		Stats:    dev.Stats(),
-		Modeled:  dev.ModeledTime(),
-	}, nil
+	res.Solution = &lsap.Solution{Assignment: a, Cost: a.Cost(c)}
+	return res, nil
 }
 
 func filled(n, v int) []int {

@@ -228,8 +228,13 @@ func TestIterationBackstop(t *testing.T) {
 	// iteration; the backstop must fail the solve rather than loop.
 	rng := rand.New(rand.NewSource(99))
 	m := randomIntMatrix(rng, 32, 1000)
-	if _, err := s.Solve(m); err == nil {
+	r, err := s.SolveDetailed(m)
+	if err == nil {
 		t.Fatal("iteration backstop never triggered")
+	}
+	// The failed solve still reports what it spent on the device.
+	if r == nil || r.Solution != nil || r.Modeled <= 0 {
+		t.Fatalf("failed solve returned %+v, want its Result with Modeled > 0 and no Solution", r)
 	}
 }
 

@@ -18,7 +18,6 @@ package ipuauction
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -83,7 +82,9 @@ func New(opts Options) (*Solver, error) {
 // Name implements lsap.Solver.
 func (s *Solver) Name() string { return "IPU-Auction" }
 
-// Result is a solve with its modeled device profile.
+// Result is a solve with its modeled device profile. A solve that
+// fails after reaching the device returns its Result with the error,
+// Solution nil, so a caller can account for the device time it spent.
 type Result struct {
 	Solution *lsap.Solution
 	Stats    ipu.Stats
@@ -116,9 +117,7 @@ func (s *Solver) SolveDetailed(c *lsap.Matrix) (*Result, error) {
 }
 
 // SolveDetailedContext is SolveDetailed with cancellation support. A
-// readback the certificate refuses returns its error together with the
-// run's Result, whose Solution is nil, so a caller can account for the
-// device time the run spent.
+// readback the certificate refuses comes back with its Result, too.
 func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Result, error) {
 	n := c.N
 	if n == 0 {
@@ -128,7 +127,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	if err != nil {
 		return nil, err
 	}
-	floor := s.auction.Floor(c)
+	floor := s.auction.Floor(c, maxB)
 	p, err := s.program(n)
 	if err != nil {
 		return nil, err
@@ -150,27 +149,30 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		b.epsStart.SetScalar(s.auction.StartEps(maxB, floor))
 	}
 	dev.ResetClock()
+	spent := func(sol *lsap.Solution, err error) (*Result, error) {
+		return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: eng.Report()}, err
+	}
 	if err := eng.HostWrite(b.benefit, benefit); err != nil {
-		return nil, fmt.Errorf("ipuauction: input transfer failed: %w", err)
+		return spent(nil, fmt.Errorf("ipuauction: input transfer failed: %w", err))
 	}
 	if s.opts.WarmPrices != nil {
 		if err := eng.HostWrite(b.price, price); err != nil {
-			return nil, fmt.Errorf("ipuauction: warm-price transfer failed: %w", err)
+			return spent(nil, fmt.Errorf("ipuauction: warm-price transfer failed: %w", err))
 		}
 	}
 	if err := eng.RunContext(ctx); err != nil {
 		if fe, ok := faultinject.AsFault(err); ok {
-			return nil, fe
+			return spent(nil, fe)
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return spent(nil, ctx.Err())
 		}
-		return nil, fmt.Errorf("ipuauction: execution failed: %w", err)
+		return spent(nil, fmt.Errorf("ipuauction: execution failed: %w", err))
 	}
 
 	out, err := eng.HostRead(b.assigned)
 	if err != nil {
-		return nil, fmt.Errorf("ipuauction: result transfer failed: %w", err)
+		return spent(nil, fmt.Errorf("ipuauction: result transfer failed: %w", err))
 	}
 	a := make(lsap.Assignment, n)
 	for i, v := range out {
@@ -180,10 +182,9 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 	// attached to every result, exact or bounded.
 	prices, err := eng.HostRead(b.price)
 	if err != nil {
-		return nil, fmt.Errorf("ipuauction: price readback failed: %w", err)
+		return spent(nil, fmt.Errorf("ipuauction: price readback failed: %w", err))
 	}
-	sol, err := s.auction.Certify(c, a, prices)
-	return &Result{Solution: sol, Stats: dev.Stats(), Modeled: dev.ModeledTime(), Recovery: eng.Report()}, err
+	return spent(s.auction.Certify(c, a, prices))
 }
 
 // programKey is the auction's compile fingerprint, following core's:
@@ -216,17 +217,13 @@ var cache = poplar.NewProgramCache[programKey, *program](poplar.DefaultCacheCapa
 // programs.
 func DefaultCache() *poplar.ProgramCache[programKey, *program] { return cache }
 
-// program returns the compiled auction for an n×n problem, from the
-// cache unless the injector's dynamic type cannot be compared, in
-// which case the solve compiles a private one.
+// program returns the compiled auction for an n×n problem: from the
+// cache, unless the injector is one Go cannot compare, which gets a
+// program of its own (see poplar.ProgramCache.AcquireFor).
 func (s *Solver) program(n int) (*program, error) {
 	o := s.opts
-	build := func() (*program, error) { return s.compile(n) }
-	if o.Fault != nil && !reflect.TypeOf(o.Fault).Comparable() {
-		return build()
-	}
 	key := programKey{n: n, cfg: o.Config, maxRetries: o.MaxRetries, maxSupersteps: o.MaxSupersteps, fault: o.Fault}
-	p, _, err := cache.Acquire(key, build)
+	p, _, err := cache.AcquireFor(o.Fault, key, func() (*program, error) { return s.compile(n) })
 	return p, err
 }
 

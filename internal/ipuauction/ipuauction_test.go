@@ -156,8 +156,13 @@ func TestSuperstepBackstop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	if _, err := s.Solve(randomIntMatrix(rng, 16, 1600)); err == nil {
+	r, err := s.SolveDetailed(randomIntMatrix(rng, 16, 1600))
+	if err == nil {
 		t.Fatal("superstep backstop never triggered")
+	}
+	// The failed solve still reports what it spent on the device.
+	if r == nil || r.Solution != nil || r.Modeled <= 0 {
+		t.Fatalf("failed solve returned %+v, want its Result with Modeled > 0 and no Solution", r)
 	}
 }
 

@@ -182,11 +182,11 @@ func TestWarmStartUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, maxB, _, _ := s.auction.Prepare(f.next)
 		floor := p.b.epsMin.ScalarValue()
-		if want := s.auction.Floor(f.next); floor != want {
+		if want := s.auction.Floor(f.next, maxB); floor != want {
 			t.Fatalf("schedule %d (%s): eps_min %g after recovery, want lsap's floor %g", sched, fault, floor, want)
 		}
-		_, maxB, _, _ := s.auction.Prepare(f.next)
 		if got, want := p.b.epsStart.ScalarValue(), s.auction.StartEps(maxB, floor); got != want {
 			t.Fatalf("schedule %d (%s): eps_start %g after recovery, want the warm start %g", sched, fault, got, want)
 		}

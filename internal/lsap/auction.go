@@ -110,18 +110,21 @@ func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, pric
 }
 
 // Floor is the ε below which the schedule's last phase runs, the one
-// end of every port's schedule. ε-complementary slackness at floor e
-// leaves an absolute gap of at most n·e, and the certified gap is
-// normalized by 1+|bound|, so a bounded target's floor is
-// Epsilon·(1+lb)/n, with lb the sum of row minima clamped at 0 (a
-// cheap lower bound on the optimum that the dual bound tracks): it
-// lands the normalized gap near Epsilon. A phase below 1/(n+1) is
-// already exact on an integer matrix, so there the floor is raised to
-// 1/(n+1), and an exact target (Epsilon = 0) ends at 1/(n+1) on any
-// matrix. A floor that underflows is kept at the smallest positive
-// float64, so the schedule still ends. The floor only places the
-// schedule: the certificate decides every bounded answer.
-func (d AuctionDriver) Floor(c *Matrix) float64 {
+// end of every port's schedule; maxB is the largest benefit, as
+// Prepare returns it. ε-complementary slackness at floor e leaves an
+// absolute gap of at most n·e, and the certified gap is normalized by
+// 1+|bound|, so a bounded target's floor is Epsilon·(1+lb)/n, with lb
+// the sum of row minima clamped at 0 (a cheap lower bound on the
+// optimum that the dual bound tracks): it lands the normalized gap near
+// Epsilon. A phase below 1/(n+1) is already exact on an integer matrix,
+// so there the floor is raised to 1/(n+1), and an exact target
+// (Epsilon = 0) ends at 1/(n+1) on any matrix. On a real-valued matrix
+// the floor is held at maxB·2⁻⁵², the resolution of prices of maxB's
+// magnitude: a bid below it rounds to one ulp (RaisePrice), so finer
+// phases only repeat one another. A zero range keeps the floor at the
+// smallest positive float64, so the schedule still ends. The floor only
+// places the schedule: the certificate decides every bounded answer.
+func (d AuctionDriver) Floor(c *Matrix, maxB float64) float64 {
 	n := c.N
 	exact := 1.0 / float64(n+1)
 	if d.Epsilon <= 0 || n == 0 {
@@ -143,7 +146,7 @@ func (d AuctionDriver) Floor(c *Matrix) float64 {
 	if integer {
 		return max(floor, exact)
 	}
-	return max(floor, math.SmallestNonzeroFloat64)
+	return max(floor, maxB*0x1p-52, math.SmallestNonzeroFloat64)
 }
 
 // StartEps is the ε of the schedule's first phase. A cold solve starts
@@ -191,7 +194,7 @@ func (d AuctionDriver) Solve(c *Matrix, phase AuctionPhase) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	floor := d.Floor(c)
+	floor := d.Floor(c, maxB)
 	eps := d.StartEps(maxB, floor)
 	assigned := make(Assignment, n)
 	for {

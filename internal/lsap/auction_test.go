@@ -102,6 +102,10 @@ func TestWarmStartFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flat, err := FromRows([][]float64{{-0.5, -0.5}, {-0.5, -0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		m    *Matrix
@@ -114,9 +118,17 @@ func TestWarmStartFloor(t *testing.T) {
 		{"negative row minima clamp lb at 0", neg, 2, 2 * (1 + 0) / 2},
 		{"real-valued exact", frac, 0, 1.0 / 4},
 		{"real-valued bounded below the exact floor", frac, 0.0625, 0.0625 * (1 + 0.5 + 0.25 + 0.75) / 3},
-		{"real-valued floor that underflows stays positive", fracNeg, 5e-324, math.SmallestNonzeroFloat64},
+		// Benefits span maxB = 3.75; a finer floor than their price
+		// resolution would only repeat phases.
+		{"real-valued floor held at the prices' resolution", fracNeg, 5e-324, 3.75 * 0x1p-52},
+		{"real-valued zero range that underflows stays positive", flat, 5e-324, math.SmallestNonzeroFloat64},
 	} {
-		if got := (AuctionDriver{Epsilon: tc.eps}).Floor(tc.m); got != tc.want {
+		d := AuctionDriver{Epsilon: tc.eps}
+		_, maxB, _, err := d.Prepare(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Floor(tc.m, maxB); got != tc.want {
 			t.Errorf("%s: Floor = %g, want %g", tc.name, got, tc.want)
 		}
 	}

@@ -23,20 +23,8 @@ func WithMaxSupersteps(n int64) EngineOption {
 	}
 }
 
-// WithProfiling collects a per-compute-set execution profile,
-// retrievable with Engine.Profile after Run. Every compute set's entry
-// is bound here, once, so executing one only adds to it.
-func WithProfiling() EngineOption {
-	return func(e *Engine) {
-		e.profile = make([]CSProfile, len(e.graph.computeSets))
-		for i, cs := range e.graph.computeSets {
-			e.profile[i].Name = cs.Name
-		}
-	}
-}
-
-// CSProfile is the accumulated profile of one compute set across all
-// of its executions.
+// CSProfile is the accumulated profile of one compute set across its
+// executions since the engine was built or ResetReport last cleared it.
 type CSProfile struct {
 	Name          string
 	Executions    int64
@@ -56,7 +44,7 @@ type Engine struct {
 
 	compiledCS map[int]bool
 	verified   *VerifyReport
-	profile    []CSProfile // indexed by compute-set id; nil unless profiling
+	profile    []CSProfile // indexed by compute-set id
 	trace      *traceLog
 	ports      portBytes // compile-time exchange accumulator; empty after NewEngine
 	reads      []Ref     // declared reads of the current step (guard and fault scratch)
@@ -104,6 +92,12 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 	e.chipSums = make([]uint64, e.chips)
 	e.strikes = make([]int, e.chips)
 	e.free = make([][][]float64, len(g.tensors))
+	// Every compute set's profile entry is bound here, once, so
+	// executing one only adds to it.
+	e.profile = make([]CSProfile, len(g.computeSets))
+	for i, cs := range g.computeSets {
+		e.profile[i].Name = cs.Name
+	}
 	for _, o := range opts {
 		o(e)
 	}
@@ -146,8 +140,9 @@ func (e *Engine) Device() *ipu.Device { return e.dev }
 // the C4 hot-spot flags for inspection.
 func (e *Engine) VerifyReport() *VerifyReport { return e.verified }
 
-// Profile returns the profiles of the compute sets executed so far,
-// sorted by descending compute cycles. Empty without WithProfiling.
+// Profile returns the profiles of the compute sets executed since the
+// engine was built or ResetReport last cleared them, sorted by
+// descending compute cycles.
 func (e *Engine) Profile() []CSProfile {
 	out := make([]CSProfile, 0, len(e.profile))
 	for _, p := range e.profile {
@@ -354,12 +349,10 @@ func (e *Engine) runComputeSet(cs *ComputeSet) error {
 	if e.trace != nil {
 		start = e.dev.Stats().TotalCycles()
 	}
-	if e.profile != nil {
-		p := &e.profile[cs.id]
-		p.Executions++
-		p.ComputeCycles += compute
-		p.Vertices += int64(len(cs.vertices))
-	}
+	p := &e.profile[cs.id]
+	p.Executions++
+	p.ComputeCycles += compute
+	p.Vertices += int64(len(cs.vertices))
 	e.dev.Superstep(compute, cs.exchange, int64(len(cs.vertices)))
 	if e.trace != nil {
 		e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))

@@ -703,35 +703,27 @@ func TestEngineProfile(t *testing.T) {
 	g.MapLinearly(x)
 	dev := newDev(t, cfg)
 	prog := Repeat(5, Fill(g, x, 1, "p"))
-	eng, err := NewEngine(g, prog, dev, WithProfiling())
+	eng, err := NewEngine(g, prog, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	if len(eng.Profile()) != 0 {
+		t.Fatalf("profile before any run = %+v", eng.Profile())
 	}
-	prof := eng.Profile()
-	if len(prof) != 1 {
-		t.Fatalf("profile entries = %d, want 1", len(prof))
-	}
-	p := prof[0]
-	if p.Name != "p/fill" || p.Executions != 5 || p.ComputeCycles == 0 {
-		t.Fatalf("profile = %+v", p)
-	}
-	// Without WithProfiling, Profile is empty.
-	dev2 := newDev(t, cfg)
-	g2 := NewGraph(cfg)
-	y := g2.AddVariable("y", Float, 4)
-	g2.MapAllTo(y, 0)
-	eng2, err := NewEngine(g2, Fill(g2, y, 1, "q"), dev2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(eng2.Profile()) != 0 {
-		t.Fatal("profile collected without WithProfiling")
+	// Each run, after ResetReport, reports that one run.
+	for run := 0; run < 2; run++ {
+		eng.ResetReport()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		prof := eng.Profile()
+		if len(prof) != 1 {
+			t.Fatalf("run %d: profile entries = %d, want 1", run, len(prof))
+		}
+		p := prof[0]
+		if p.Name != "p/fill" || p.Executions != 5 || p.ComputeCycles == 0 {
+			t.Fatalf("run %d: profile = %+v", run, p)
+		}
 	}
 }
 
@@ -741,15 +733,20 @@ func TestTraceExport(t *testing.T) {
 	x := g.AddVariable("x", Float, 16)
 	g.MapLinearly(x)
 	dev := newDev(t, cfg)
-	eng, err := NewEngine(g, Repeat(3, Fill(g, x, 2, "tr")), dev, WithTrace())
+	eng, err := NewEngine(g, Repeat(3, Fill(g, x, 2, "tr")), dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.TraceEventCount() != 3 {
-		t.Fatalf("trace events = %d, want 3", eng.TraceEventCount())
+	eng.SetTrace(true)
+	// Each run, after ResetReport, records that one run.
+	for run := 0; run < 2; run++ {
+		eng.ResetReport()
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if eng.TraceEventCount() != 3 {
+			t.Fatalf("run %d: trace events = %d, want 3", run, eng.TraceEventCount())
+		}
 	}
 	var buf bytes.Buffer
 	if err := eng.WriteTrace(&buf); err != nil {
@@ -773,13 +770,13 @@ func TestTraceExport(t *testing.T) {
 			t.Fatalf("bad event: %+v", ev)
 		}
 	}
-	// Without WithTrace, WriteTrace errors.
-	eng2, err := NewEngine(g, Sequence(), dev)
-	if err != nil {
-		t.Fatal(err)
+	// With recording off, WriteTrace errors and the timeline is gone.
+	eng.SetTrace(false)
+	if err := eng.WriteTrace(&buf); err == nil {
+		t.Fatal("WriteTrace with recording off should fail")
 	}
-	if err := eng2.WriteTrace(&buf); err == nil {
-		t.Fatal("WriteTrace without WithTrace should fail")
+	if eng.TraceEventCount() != 0 {
+		t.Fatalf("trace events after recording off = %d, want 0", eng.TraceEventCount())
 	}
 }
 

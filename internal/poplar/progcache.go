@@ -2,7 +2,10 @@ package poplar
 
 import (
 	"container/list"
+	"reflect"
 	"sync"
+
+	"hunipu/internal/faultinject"
 )
 
 // DefaultCacheCapacity bounds each process-wide program cache: enough
@@ -198,4 +201,16 @@ func (pc *ProgramCache[K, P]) Acquire(key K, build func() (P, error)) (P, bool, 
 	pc.mu.Unlock()
 	close(ent.ready)
 	return ent.prog, true, ent.err
+}
+
+// AcquireFor is Acquire for a program bound to the injector inj, which
+// its key holds. A key holding an injector Go cannot compare would
+// panic the cache's map, so such a call builds a program for this one
+// solve, which never enters the cache and moves no counter.
+func (pc *ProgramCache[K, P]) AcquireFor(inj faultinject.Injector, key K, build func() (P, error)) (P, bool, error) {
+	if inj != nil && !reflect.TypeOf(inj).Comparable() {
+		p, err := build()
+		return p, true, err
+	}
+	return pc.Acquire(key, build)
 }

@@ -68,8 +68,17 @@ type RunReport struct {
 // callers reusing an engine across solves reset it per solve.
 func (e *Engine) Report() RunReport { return e.report }
 
-// ResetReport clears the recovery report (start of a new solve).
-func (e *Engine) ResetReport() { e.report = RunReport{} }
+// ResetReport starts a new solve's report: it clears the recovery
+// report, the profile counts and, while recording is on, the trace.
+func (e *Engine) ResetReport() {
+	e.report = RunReport{}
+	for i := range e.profile {
+		e.profile[i] = CSProfile{Name: e.profile[i].Name}
+	}
+	if e.trace != nil {
+		e.trace.events = e.trace.events[:0]
+	}
+}
 
 // checkpoint is a superstep-granularity snapshot of all solver state:
 // every tensor's backing data (duals, matching, compressed offsets,

@@ -6,12 +6,20 @@ import (
 	"io"
 )
 
-// WithTrace records every executed superstep so the timeline can be
-// exported with Engine.WriteTrace (Chrome trace-event format, loadable
-// in chrome://tracing or Perfetto). Long solves produce tens of
+// SetTrace switches superstep recording on or off for the runs that
+// follow. While it is on, every executed superstep is recorded so the
+// timeline can be exported with Engine.WriteTrace (Chrome trace-event
+// format, loadable in chrome://tracing or Perfetto); ResetReport starts
+// a new timeline. Switching it off drops the recorded timeline, so an
+// engine reused across solves holds none. Long solves produce tens of
 // thousands of events; intended for debugging runs, not benchmarks.
-func WithTrace() EngineOption {
-	return func(e *Engine) { e.trace = &traceLog{} }
+func (e *Engine) SetTrace(on bool) {
+	switch {
+	case !on:
+		e.trace = nil
+	case e.trace == nil:
+		e.trace = &traceLog{}
+	}
 }
 
 // traceEvent is one executed superstep.
@@ -51,7 +59,7 @@ type chromeEvent struct {
 // Timestamps are in modeled microseconds (cycles / clock).
 func (e *Engine) WriteTrace(w io.Writer) error {
 	if e.trace == nil {
-		return fmt.Errorf("poplar: engine built without WithTrace")
+		return fmt.Errorf("poplar: trace recording is off")
 	}
 	hz := e.dev.Config().ClockHz
 	toUs := func(c int64) float64 { return float64(c) / hz * 1e6 }

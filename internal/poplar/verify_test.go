@@ -276,7 +276,7 @@ func TestProfileTieBreakByName(t *testing.T) {
 	var first []string
 	for run := 0; run < 5; run++ {
 		dev := newDev(t, cfg)
-		eng, err := NewEngine(g, prog, dev, WithProfiling())
+		eng, err := NewEngine(g, prog, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -547,19 +547,11 @@ func (s *Server) settle(picks []pick, n int, res *hunipu.Result, err error) {
 				s.metrics.Quarantined.Add(int64(len(f.Quarantined)))
 			}
 			// Guard telemetry: an attempt's recovery report counts every
-			// detection, the terminal one included. A failed single-chip
-			// attempt carries no report, so its terminal detection is read
-			// off its typed error instead.
+			// detection, the terminal one of a failed attempt included.
 			s.metrics.GuardTrips.Add(int64(a.GuardTrips))
 			s.metrics.RollbackEpochs.Add(int64(a.RollbackEpochs))
-			if ce, ok := faultinject.AsCorruption(a.Err); ok {
-				if a.ShardDetail == nil {
-					s.metrics.GuardTrips.Add(1)
-					s.metrics.RollbackEpochs.Add(int64(ce.PoisonedEpochs))
-				}
-				if ce.Guard == "attestation" {
-					s.metrics.AttestationFailures.Add(1)
-				}
+			if ce, ok := faultinject.AsCorruption(a.Err); ok && ce.Guard == "attestation" {
+				s.metrics.AttestationFailures.Add(1)
 			}
 		}
 	}

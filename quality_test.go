@@ -160,6 +160,37 @@ func TestSolveBoundedRealValued(t *testing.T) {
 	}
 }
 
+// TestSolveBoundedBelowResolution: a bounded ε far below what float64
+// prices can resolve ends the auction's schedule at the benefit range's
+// resolution, not hundreds of phases below it that only repeat one
+// another before the certificate refuses and the exact rung serves.
+// With the floor held at ε(1+lb)/n alone, this GPU request spent about
+// 100 ms of modeled device time.
+func TestSolveBoundedBelowResolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	costs := make([][]float64, 64)
+	for i := range costs {
+		costs[i] = make([]float64, 64)
+		for j := range costs[i] {
+			costs[i][j] = 3 * rng.Float64()
+		}
+	}
+	exact, err := Solve(costs, OnCPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(costs, OnGPU(), WithQuality(Bounded(5e-324)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Cost-exact.Cost) > 1e-9 {
+		t.Fatalf("cost %g, want the optimum %g", res.Cost, exact.Cost)
+	}
+	if res.Modeled >= 30*time.Millisecond {
+		t.Fatalf("Result.Modeled = %v over %d attempt(s), want under 30ms", res.Modeled, len(res.Report.Attempts))
+	}
+}
+
 // TestSolveBoundedRectangularAndMaximize: the ladder composes with the
 // rectangular padding and max→min conversion of the public API.
 func TestSolveBoundedRectangularAndMaximize(t *testing.T) {

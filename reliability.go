@@ -96,14 +96,16 @@ type Attempt struct {
 	Err error
 	// Wall is the real time this attempt took, queueing excluded, and
 	// Modeled the simulated device time it spent (zero on the CPU). A
-	// bounded attempt the certificate refused reports its time too.
+	// failed attempt, or a bounded one the certificate refused, reports
+	// the device time it spent before it ended.
 	Wall    time.Duration
 	Modeled time.Duration
 	// Retries counts transient faults survived on this device via
-	// checkpoint-resume or transfer retry.
+	// checkpoint-resume or transfer retry, on a failed attempt too.
 	Retries int
 	// CheckpointsSaved and CheckpointsRestored describe the recovery
-	// machinery's work during the attempt (IPU devices only).
+	// machinery's work during the attempt, failed or not (IPU devices
+	// only).
 	CheckpointsSaved    int
 	CheckpointsRestored int
 	// Faults counts faults injected into this attempt, including the
@@ -432,8 +434,6 @@ func (c *config) solveOn(ctx context.Context, d Device, q Quality, m *lsap.Matri
 			if err == nil {
 				r, err = s.SolveDetailedContext(ctx, m)
 			}
-			// A sharded solve reports its recovery and fabric work even
-			// when it fails.
 			if r != nil {
 				sol, att.Modeled, rec = r.Solution, r.Modeled, r.Recovery
 				att.GuardCycles, att.ShardDetail = r.Stats.GuardCycles, r.Fabric
@@ -465,8 +465,11 @@ func (c *config) solveOn(ctx context.Context, d Device, q Quality, m *lsap.Matri
 				var r *fastha.Result
 				r, err = s.SolvePaddedContext(ctx, m)
 				att.Faults = firedCount(inj) - before
-				if err == nil {
-					sol, att.Modeled, att.GPUDetail = r.Solution, r.Modeled, r
+				if r != nil {
+					sol, att.Modeled = r.Solution, r.Modeled
+					if err == nil {
+						att.GPUDetail = r
+					}
 				}
 			}
 		}

@@ -80,49 +80,69 @@ func TestTransientFaultSurvived(t *testing.T) {
 }
 
 // TestHardFaultFallsBackToGPU is the second acceptance scenario: a
-// recurring device reset confined to IPU phases kills every IPU retry,
-// and WithFallback(DeviceGPU, DeviceCPU) serves the correct answer
-// from the GPU with the degradation recorded in the Report.
+// device reset kills every IPU retry, and WithFallback(DeviceGPU,
+// DeviceCPU) serves the correct answer from the GPU with the
+// degradation recorded in the Report. The reset fires either at once,
+// recurring in IPU phases, or late in the run, once the IPU attempt
+// has spent device time and taken checkpoints that its report must
+// still show.
 func TestHardFaultFallsBackToGPU(t *testing.T) {
-	costs := testCosts(16, 3)
-	clean, err := Solve(costs)
+	late, err := faultinject.ParseSchedule("reset at=200")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(costs,
-		WithFaultSchedule("reset every=1 times=-1 phase=s1_*"),
-		WithRecovery(2),
-		WithFallback(DeviceGPU, DeviceCPU),
-	)
-	if err != nil {
-		t.Fatalf("fallback chain did not rescue the solve: %v", err)
-	}
-	if res.Cost != clean.Cost {
-		t.Fatalf("fallback cost = %g, fault-free cost = %g", res.Cost, clean.Cost)
-	}
-	r := res.Report
-	if r == nil || !r.FellBack || r.Served != DeviceGPU || r.Primary != DeviceIPU {
-		t.Fatalf("report = %+v, want fallback served by GPU", r)
-	}
-	if res.Device != DeviceGPU {
-		t.Fatalf("Result.Device = %v, want GPU", res.Device)
-	}
-	if len(r.Attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (IPU fail, GPU serve)", len(r.Attempts))
-	}
-	ipuAtt := r.Attempts[0]
-	if ipuAtt.Device != DeviceIPU || ipuAtt.Err == nil {
-		t.Fatalf("first attempt = %+v, want failed IPU", ipuAtt)
-	}
-	var fe *faultinject.FaultError
-	if !errors.As(ipuAtt.Err, &fe) || fe.Class != faultinject.DeviceReset {
-		t.Fatalf("IPU attempt error = %v, want DeviceReset fault", ipuAtt.Err)
-	}
-	if ipuAtt.Faults == 0 {
-		t.Fatalf("IPU attempt records no injected faults: %+v", ipuAtt)
-	}
-	if gpuAtt := r.Attempts[1]; gpuAtt.Device != DeviceGPU || gpuAtt.Err != nil {
-		t.Fatalf("second attempt = %+v, want clean GPU serve", gpuAtt)
+	for _, tc := range []struct {
+		name  string
+		costs [][]float64
+		fault Option
+		late  bool
+	}{
+		{"recurring in step 1", testCosts(16, 3), WithFaultSchedule("reset every=1 times=-1 phase=s1_*"), false},
+		{"at superstep 200", testCosts(32, 3), WithInjector(DeviceIPU, late), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := Solve(tc.costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Solve(tc.costs, tc.fault, WithRecovery(2), WithFallback(DeviceGPU, DeviceCPU))
+			if err != nil {
+				t.Fatalf("fallback chain did not rescue the solve: %v", err)
+			}
+			if res.Cost != clean.Cost {
+				t.Fatalf("fallback cost = %g, fault-free cost = %g", res.Cost, clean.Cost)
+			}
+			r := res.Report
+			if r == nil || !r.FellBack || r.Served != DeviceGPU || r.Primary != DeviceIPU {
+				t.Fatalf("report = %+v, want fallback served by GPU", r)
+			}
+			if res.Device != DeviceGPU {
+				t.Fatalf("Result.Device = %v, want GPU", res.Device)
+			}
+			if len(r.Attempts) != 2 {
+				t.Fatalf("attempts = %d, want 2 (IPU fail, GPU serve)", len(r.Attempts))
+			}
+			ipuAtt := r.Attempts[0]
+			if ipuAtt.Device != DeviceIPU || ipuAtt.Err == nil {
+				t.Fatalf("first attempt = %+v, want failed IPU", ipuAtt)
+			}
+			var fe *faultinject.FaultError
+			if !errors.As(ipuAtt.Err, &fe) || fe.Class != faultinject.DeviceReset {
+				t.Fatalf("IPU attempt error = %v, want DeviceReset fault", ipuAtt.Err)
+			}
+			if ipuAtt.Faults == 0 {
+				t.Fatalf("IPU attempt records no injected faults: %+v", ipuAtt)
+			}
+			if tc.late && (ipuAtt.Modeled <= 0 || ipuAtt.CheckpointsSaved == 0) {
+				t.Fatalf("failed IPU attempt reports Modeled %v and %d checkpoints saved, want both > 0", ipuAtt.Modeled, ipuAtt.CheckpointsSaved)
+			}
+			if gpuAtt := r.Attempts[1]; gpuAtt.Device != DeviceGPU || gpuAtt.Err != nil {
+				t.Fatalf("second attempt = %+v, want clean GPU serve", gpuAtt)
+			}
+			if sum := ipuAtt.Modeled + r.Attempts[1].Modeled; res.Modeled != sum {
+				t.Fatalf("Result.Modeled = %v, want the attempts' sum %v", res.Modeled, sum)
+			}
+		})
 	}
 }
 
