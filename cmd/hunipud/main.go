@@ -20,6 +20,16 @@
 // short, 503 draining / no device, 504 deadline expired mid-solve,
 // 413 body over 64 MiB, 400 invalid input.
 //
+// A /solve body is read once into one buffer and decoded in one pass
+// that checks each cost against the JSON number grammar as it converts
+// it, into rows sharing one backing array. A body that pass does not
+// recognise exactly (null, an escaped, non-ASCII, unknown or repeated
+// key, a value of another type, anything malformed) goes to
+// json.Unmarshal, the reference: every body decodes, or is refused,
+// exactly as json.Unmarshal into the request struct decides. So bytes
+// other than whitespace after the object are a 400. A deadline_ms too
+// long for time.Duration is no deadline.
+//
 // Usage:
 //
 //	hunipud -addr :8080 -workers 4 -queue 64 -drain 10s
@@ -43,7 +53,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +60,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -182,107 +192,11 @@ const maxBodyBytes = 64 << 20
 // default. Key names the client's solve stream for per-key dual
 // warm-starting (see serve.Request.Key).
 type solveRequest struct {
-	Costs      costMatrix `json:"costs"`
-	Maximize   bool       `json:"maximize,omitempty"`
-	DeadlineMS int64      `json:"deadline_ms,omitempty"`
-	Quality    string     `json:"quality,omitempty"`
-	Key        string     `json:"key,omitempty"`
-}
-
-// costMatrix is a request's cost matrix. It decodes as encoding/json
-// decodes into [][]float64, without reflection: every row is a slice
-// of one backing array.
-type costMatrix [][]float64
-
-// UnmarshalJSON decodes raw, which encoding/json has already checked
-// to be one well-formed JSON value, so only value types are checked
-// here. The backing array is sized once, before parsing: every entry
-// but the last is followed by a comma, so the commas in raw bound the
-// entry count from above.
-func (m *costMatrix) UnmarshalJSON(raw []byte) error {
-	if *m != nil {
-		// A repeated "costs" key: encoding/json decodes it into what the
-		// one before left, which only encoding/json reproduces exactly.
-		return json.Unmarshal(raw, (*[][]float64)(m))
-	}
-	if i := bytes.IndexByte(raw, '"'); i >= 0 {
-		// Strings are never valid here, and rejecting them first keeps
-		// commas inside a string from inflating the size bound.
-		return errCostType(raw, i)
-	}
-	var rows [][]float64
-	vals := make([]float64, 0, bytes.Count(raw, []byte{','})+1)
-	depth, start := 0, 0 // start: index in vals of the open row's first entry
-	for i := 0; i < len(raw); {
-		switch c := raw[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ',':
-			i++
-		case c == '[' && depth == 0:
-			rows = make([][]float64, 0, bytes.Count(raw, []byte{'['})-1)
-			depth, i = 1, i+1
-		case c == '[' && depth == 1:
-			start = len(vals)
-			depth, i = 2, i+1
-		case c == ']':
-			if depth == 2 {
-				rows = append(rows, vals[start:len(vals):len(vals)])
-			}
-			depth, i = depth-1, i+1
-		case c == 'n': // null: a nil matrix, a nil row or, as in encoding/json, a zero entry
-			switch depth {
-			case 1:
-				rows = append(rows, nil)
-			case 2:
-				vals = append(vals, 0)
-			}
-			i += len("null")
-		case depth == 2 && (c == '-' || '0' <= c && c <= '9'):
-			j := i + 1
-			for j < len(raw) && numberByte(raw[j]) {
-				j++
-			}
-			v, err := parseCost(raw[i:j])
-			if err != nil {
-				return err
-			}
-			vals = append(vals, v)
-			i = j
-		default:
-			return errCostType(raw, i)
-		}
-	}
-	*m = rows
-	return nil
-}
-
-func errCostType(raw []byte, i int) error {
-	return fmt.Errorf("costs: found %q at offset %d, want an array of arrays of numbers", raw[i], i)
-}
-
-func numberByte(c byte) bool {
-	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
-}
-
-// parseCost converts one JSON number. An unsigned integer of at most
-// 15 digits is below 2^53, so integer arithmetic converts it exactly;
-// every other number goes through strconv.ParseFloat, as in
-// encoding/json.
-func parseCost(tok []byte) (float64, error) {
-	if len(tok) <= 15 {
-		var u uint64
-		i := 0
-		for ; i < len(tok) && '0' <= tok[i] && tok[i] <= '9'; i++ {
-			u = u*10 + uint64(tok[i]-'0')
-		}
-		if i == len(tok) {
-			return float64(u), nil
-		}
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, fmt.Errorf("costs: %w", err)
-	}
-	return v, nil
+	Costs      [][]float64 `json:"costs"`
+	Maximize   bool        `json:"maximize,omitempty"`
+	DeadlineMS int64       `json:"deadline_ms,omitempty"`
+	Quality    string      `json:"quality,omitempty"`
+	Key        string      `json:"key,omitempty"`
 }
 
 // solveResponse is the success body. Quality is the tier that actually
@@ -361,9 +275,12 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err == nil {
+		req, err = decodeSolveRequest(body)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err.Error())
@@ -382,7 +299,9 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := r.Context()
-	if req.DeadlineMS > 0 {
+	// A deadline too long for time.Duration can never bind, so it is no
+	// deadline, as a non-positive one is.
+	if req.DeadlineMS > 0 && req.DeadlineMS <= int64(math.MaxInt64/time.Millisecond) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()

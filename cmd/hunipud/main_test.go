@@ -50,19 +50,26 @@ func postSolve(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 
 func TestSolveEndpoint(t *testing.T) {
 	_, ts := newTestDaemon(t, serve.Config{Workers: 2})
-	resp, raw := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-	}
-	var out solveResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("bad JSON %s: %v", raw, err)
-	}
-	if out.Cost != 5 || len(out.Assignment) != 3 {
-		t.Fatalf("response = %+v, want cost 5 with 3 assignments", out)
-	}
-	if out.Device != "IPU" || out.FellBack {
-		t.Fatalf("response = %+v, want clean IPU serve", out)
+	for _, body := range []string{
+		`{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`,
+		// Deadlines too long for time.Duration are no deadline.
+		`{"costs":[[4,1,3],[2,0,5],[3,2,2]],"deadline_ms":9223372036855}`,
+		`{"costs":[[4,1,3],[2,0,5],[3,2,2]],"deadline_ms":4611686018427387904}`,
+	} {
+		resp, raw := postSolve(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, body %s", body, resp.StatusCode, raw)
+		}
+		var out solveResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("bad JSON %s: %v", raw, err)
+		}
+		if out.Cost != 5 || len(out.Assignment) != 3 {
+			t.Fatalf("response = %+v, want cost 5 with 3 assignments", out)
+		}
+		if out.Device != "IPU" || out.FellBack {
+			t.Fatalf("response = %+v, want clean IPU serve", out)
+		}
 	}
 }
 
@@ -79,6 +86,8 @@ func TestSolveEndpointErrors(t *testing.T) {
 		// Priced by its first row, this body would need 100² ms.
 		{"ragged with deadline", `{"costs":[[` + strings.Repeat("0,", 99) + `0],[3]],"deadline_ms":50}`, http.StatusBadRequest, "invalid_input"},
 		{"deadline too short", `{"costs":[[4,1,3],[2,0,5],[3,2,2]],"deadline_ms":1}`, http.StatusUnprocessableEntity, "deadline_too_short"},
+		// Last: if served, it would teach the cost model that 3×3 is cheap.
+		{"trailing bytes", `{"costs":[[4,1,3],[2,0,5],[3,2,2]]} trailing garbage`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -214,14 +214,18 @@ type FaultError struct {
 	Rule int
 }
 
-// Error implements error.
+// Error implements error. A superstep point reads "at superstep 3",
+// any other kind "at host-write, superstep 3".
 func (e *FaultError) Error() string {
-	if e.Point.Device > 0 {
-		return fmt.Sprintf("faultinject: %s fault at %s superstep %d (phase %q, device %d)",
-			e.Class, e.Point.Kind, e.Point.Superstep, e.Point.Phase, e.Point.Device)
+	at, dev := "", ""
+	if e.Point.Kind != KindSuperstep {
+		at = e.Point.Kind.String() + ", "
 	}
-	return fmt.Sprintf("faultinject: %s fault at %s superstep %d (phase %q)",
-		e.Class, e.Point.Kind, e.Point.Superstep, e.Point.Phase)
+	if e.Point.Device > 0 {
+		dev = fmt.Sprintf(", device %d", e.Point.Device)
+	}
+	return fmt.Sprintf("faultinject: %s fault at %ssuperstep %d (phase %q%s)",
+		e.Class, at, e.Point.Superstep, e.Point.Phase, dev)
 }
 
 // Transient reports whether the fault is retryable (see Class.Transient).
