@@ -48,7 +48,7 @@ func TestReplayDigest(t *testing.T) {
 			fmt.Fprintf(h, "%+v\n", p)
 		}
 		h.Write(trace.Bytes())
-		const want = "sha256:c662683c11c1b0bf6fcae267702487554c0c9684f01a0f83703734a7dbfbd650"
+		const want = "sha256:b4b2abbe7dc3a13781e8ec4f78c754a863c5c5f6ed0f287509f5fa83ebf24ab5"
 		if got := fmt.Sprintf("sha256:%x", h.Sum(nil)); got != want {
 			t.Errorf("HunIPU n=32 profile+trace digest %s, want %s", got, want)
 		}
@@ -155,85 +155,85 @@ func targetRows(t *testing.T, sw Sweep) []string {
 // wantSweepRows are the pinned tallies, one line per row targetRows
 // and the bounded sweeps print, in replay order.
 const wantSweepRows = `
-announced seed=1 HunIPU#0: runs=120 clean=34 survived=22 typed=64 corruptions=0 detections=0 maxlat=0 rollbacks=54 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=1 HunIPU-nocompress#1: runs=120 clean=40 survived=20 typed=60 corruptions=0 detections=0 maxlat=0 rollbacks=51 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=1 HunIPU-2D#2: runs=120 clean=34 survived=22 typed=64 corruptions=0 detections=0 maxlat=0 rollbacks=54 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=1 HunIPU-shard2#3: runs=120 clean=34 survived=40 typed=46 corruptions=0 detections=0 maxlat=0 rollbacks=55 lost=82 reshards=50 quarantined=0 wrong=0 untyped=0
-announced seed=1 HunIPU-shard4#4: runs=120 clean=34 survived=65 typed=21 corruptions=0 detections=0 maxlat=0 rollbacks=62 lost=104 reshards=97 quarantined=0 wrong=0 untyped=0
+announced seed=1 HunIPU#0: runs=120 clean=35 survived=24 typed=61 corruptions=0 detections=0 maxlat=0 rollbacks=54 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=1 HunIPU-nocompress#1: runs=120 clean=43 survived=22 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=50 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=1 HunIPU-2D#2: runs=120 clean=35 survived=24 typed=61 corruptions=0 detections=0 maxlat=0 rollbacks=54 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=1 HunIPU-shard2#3: runs=120 clean=35 survived=42 typed=43 corruptions=0 detections=0 maxlat=0 rollbacks=56 lost=78 reshards=49 quarantined=0 wrong=0 untyped=0
+announced seed=1 HunIPU-shard4#4: runs=120 clean=35 survived=64 typed=21 corruptions=0 detections=0 maxlat=0 rollbacks=61 lost=100 reshards=93 quarantined=0 wrong=0 untyped=0
 announced seed=1 FastHA#5: runs=120 clean=30 survived=0 typed=90 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=1 IPU-Auction#6: runs=120 clean=28 survived=22 typed=70 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=1 HunIPU-shard2#0: runs=100 clean=18 survived=54 typed=28 corruptions=0 detections=0 maxlat=0 rollbacks=79 lost=76 reshards=58 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=1 HunIPU-shard4#1: runs=100 clean=13 survived=68 typed=19 corruptions=0 detections=0 maxlat=0 rollbacks=122 lost=64 reshards=64 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=1 HunIPU#0: runs=50 clean=15 survived=32 typed=0 corruptions=3 detections=48 maxlat=20001 rollbacks=45 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=1 HunIPU-nocompress#1: runs=50 clean=15 survived=34 typed=0 corruptions=1 detections=47 maxlat=20001 rollbacks=46 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=1 HunIPU-2D#2: runs=50 clean=15 survived=32 typed=0 corruptions=3 detections=48 maxlat=20001 rollbacks=45 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@checksums seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=90 typed=0 corruptions=2 detections=88 maxlat=56 rollbacks=126 lost=34 reshards=34 quarantined=10 wrong=0 untyped=0
-fabric-silent@checksums seed=1 HunIPU-shard4#1: runs=100 clean=11 survived=89 typed=0 corruptions=0 detections=101 maxlat=69 rollbacks=115 lost=50 reshards=50 quarantined=22 wrong=0 untyped=0
-silent@invariants seed=1 HunIPU#0: runs=50 clean=15 survived=32 typed=0 corruptions=3 detections=48 maxlat=20001 rollbacks=45 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=1 HunIPU-nocompress#1: runs=50 clean=15 survived=33 typed=0 corruptions=2 detections=51 maxlat=20001 rollbacks=49 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=1 HunIPU-2D#2: runs=50 clean=15 survived=32 typed=0 corruptions=3 detections=48 maxlat=20001 rollbacks=45 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@invariants seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=90 typed=0 corruptions=2 detections=88 maxlat=56 rollbacks=126 lost=34 reshards=34 quarantined=10 wrong=0 untyped=0
-fabric-silent@invariants seed=1 HunIPU-shard4#1: runs=100 clean=11 survived=89 typed=0 corruptions=0 detections=101 maxlat=69 rollbacks=115 lost=50 reshards=50 quarantined=22 wrong=0 untyped=0
-silent@paranoid seed=1 HunIPU#0: runs=50 clean=15 survived=30 typed=0 corruptions=5 detections=61 maxlat=20001 rollbacks=56 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=1 HunIPU-nocompress#1: runs=50 clean=15 survived=29 typed=0 corruptions=6 detections=64 maxlat=20001 rollbacks=58 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=1 HunIPU-2D#2: runs=50 clean=15 survived=30 typed=0 corruptions=5 detections=61 maxlat=20001 rollbacks=56 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@paranoid seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=90 typed=0 corruptions=2 detections=118 maxlat=48 rollbacks=143 lost=47 reshards=47 quarantined=23 wrong=0 untyped=0
-fabric-silent@paranoid seed=1 HunIPU-shard4#1: runs=100 clean=11 survived=89 typed=0 corruptions=0 detections=144 maxlat=108 rollbacks=135 lost=73 reshards=73 quarantined=45 wrong=0 untyped=0
-bounded@0 seed=1 IPU@bounded(0)#0: runs=100 clean=32 survived=19 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
+fabric-loss seed=1 HunIPU-shard2#0: runs=100 clean=14 survived=60 typed=26 corruptions=0 detections=0 maxlat=0 rollbacks=77 lost=76 reshards=58 quarantined=0 wrong=0 untyped=0
+fabric-loss seed=1 HunIPU-shard4#1: runs=100 clean=15 survived=65 typed=20 corruptions=0 detections=0 maxlat=0 rollbacks=121 lost=61 reshards=61 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=1 HunIPU#0: runs=50 clean=16 survived=31 typed=0 corruptions=3 detections=44 maxlat=20001 rollbacks=41 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=1 HunIPU-nocompress#1: runs=50 clean=16 survived=31 typed=0 corruptions=3 detections=50 maxlat=20001 rollbacks=47 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=1 HunIPU-2D#2: runs=50 clean=16 survived=31 typed=0 corruptions=3 detections=44 maxlat=20001 rollbacks=41 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@checksums seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=91 typed=0 corruptions=1 detections=89 maxlat=48 rollbacks=127 lost=35 reshards=35 quarantined=11 wrong=0 untyped=0
+fabric-silent@checksums seed=1 HunIPU-shard4#1: runs=100 clean=12 survived=88 typed=0 corruptions=0 detections=99 maxlat=69 rollbacks=116 lost=47 reshards=47 quarantined=19 wrong=0 untyped=0
+silent@invariants seed=1 HunIPU#0: runs=50 clean=16 survived=31 typed=0 corruptions=3 detections=44 maxlat=20001 rollbacks=41 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=1 HunIPU-nocompress#1: runs=50 clean=16 survived=30 typed=0 corruptions=4 detections=54 maxlat=20001 rollbacks=50 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=1 HunIPU-2D#2: runs=50 clean=16 survived=31 typed=0 corruptions=3 detections=44 maxlat=20001 rollbacks=41 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@invariants seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=91 typed=0 corruptions=1 detections=89 maxlat=48 rollbacks=127 lost=35 reshards=35 quarantined=11 wrong=0 untyped=0
+fabric-silent@invariants seed=1 HunIPU-shard4#1: runs=100 clean=12 survived=88 typed=0 corruptions=0 detections=99 maxlat=69 rollbacks=116 lost=47 reshards=47 quarantined=19 wrong=0 untyped=0
+silent@paranoid seed=1 HunIPU#0: runs=50 clean=16 survived=29 typed=0 corruptions=5 detections=58 maxlat=20001 rollbacks=53 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=1 HunIPU-nocompress#1: runs=50 clean=16 survived=28 typed=0 corruptions=6 detections=63 maxlat=20001 rollbacks=57 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=1 HunIPU-2D#2: runs=50 clean=16 survived=29 typed=0 corruptions=5 detections=58 maxlat=20001 rollbacks=53 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@paranoid seed=1 HunIPU-shard2#0: runs=100 clean=8 survived=90 typed=0 corruptions=2 detections=117 maxlat=40 rollbacks=141 lost=48 reshards=48 quarantined=24 wrong=0 untyped=0
+fabric-silent@paranoid seed=1 HunIPU-shard4#1: runs=100 clean=12 survived=88 typed=0 corruptions=0 detections=138 maxlat=100 rollbacks=134 lost=68 reshards=68 quarantined=40 wrong=0 untyped=0
+bounded@0 seed=1 IPU@bounded(0)#0: runs=100 clean=31 survived=20 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
 bounded@0.01 seed=1 IPU@bounded(0.01)#0: runs=100 clean=21 survived=27 typed=52 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.001587 maxtruegap=0
 bounded@0.1 seed=1 IPU@bounded(0.1)#0: runs=100 clean=19 survived=26 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0264472 maxtruegap=0
-announced seed=2 HunIPU#0: runs=120 clean=28 survived=38 typed=54 corruptions=0 detections=0 maxlat=0 rollbacks=112 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=2 HunIPU-nocompress#1: runs=120 clean=29 survived=36 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=104 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=2 HunIPU-2D#2: runs=120 clean=28 survived=38 typed=54 corruptions=0 detections=0 maxlat=0 rollbacks=112 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=2 HunIPU-shard2#3: runs=120 clean=27 survived=49 typed=44 corruptions=0 detections=0 maxlat=0 rollbacks=120 lost=69 reshards=41 quarantined=0 wrong=0 untyped=0
-announced seed=2 HunIPU-shard4#4: runs=120 clean=26 survived=64 typed=30 corruptions=0 detections=0 maxlat=0 rollbacks=123 lost=97 reshards=87 quarantined=0 wrong=0 untyped=0
+announced seed=2 HunIPU#0: runs=120 clean=26 survived=38 typed=56 corruptions=0 detections=0 maxlat=0 rollbacks=112 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=2 HunIPU-nocompress#1: runs=120 clean=30 survived=37 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=104 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=2 HunIPU-2D#2: runs=120 clean=26 survived=38 typed=56 corruptions=0 detections=0 maxlat=0 rollbacks=112 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=2 HunIPU-shard2#3: runs=120 clean=25 survived=51 typed=44 corruptions=0 detections=0 maxlat=0 rollbacks=120 lost=71 reshards=43 quarantined=0 wrong=0 untyped=0
+announced seed=2 HunIPU-shard4#4: runs=120 clean=24 survived=67 typed=29 corruptions=0 detections=0 maxlat=0 rollbacks=123 lost=99 reshards=90 quarantined=0 wrong=0 untyped=0
 announced seed=2 FastHA#5: runs=120 clean=32 survived=0 typed=88 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=2 IPU-Auction#6: runs=120 clean=29 survived=18 typed=73 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=2 HunIPU-shard2#0: runs=100 clean=10 survived=55 typed=35 corruptions=0 detections=0 maxlat=0 rollbacks=113 lost=75 reshards=56 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=2 HunIPU-shard4#1: runs=100 clean=5 survived=66 typed=29 corruptions=0 detections=0 maxlat=0 rollbacks=158 lost=71 reshards=69 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=2 HunIPU#0: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=42 maxlat=19986 rollbacks=33 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=2 HunIPU-nocompress#1: runs=50 clean=11 survived=32 typed=0 corruptions=7 detections=42 maxlat=19980 rollbacks=35 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=2 HunIPU-2D#2: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=42 maxlat=19986 rollbacks=33 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@checksums seed=2 HunIPU-shard2#0: runs=100 clean=5 survived=95 typed=0 corruptions=0 detections=91 maxlat=42 rollbacks=114 lost=37 reshards=37 quarantined=11 wrong=0 untyped=0
-fabric-silent@checksums seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=98 maxlat=52 rollbacks=125 lost=39 reshards=39 quarantined=11 wrong=0 untyped=0
-silent@invariants seed=2 HunIPU#0: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=42 maxlat=19986 rollbacks=33 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=2 HunIPU-nocompress#1: runs=50 clean=11 survived=28 typed=0 corruptions=11 detections=55 maxlat=19980 rollbacks=44 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=2 HunIPU-2D#2: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=42 maxlat=19986 rollbacks=33 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@invariants seed=2 HunIPU-shard2#0: runs=100 clean=5 survived=95 typed=0 corruptions=0 detections=91 maxlat=42 rollbacks=114 lost=37 reshards=37 quarantined=11 wrong=0 untyped=0
-fabric-silent@invariants seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=98 maxlat=52 rollbacks=125 lost=39 reshards=39 quarantined=11 wrong=0 untyped=0
-silent@paranoid seed=2 HunIPU#0: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=45 maxlat=19986 rollbacks=36 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=2 HunIPU-nocompress#1: runs=50 clean=11 survived=28 typed=0 corruptions=11 detections=55 maxlat=19980 rollbacks=44 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=2 HunIPU-2D#2: runs=50 clean=12 survived=29 typed=0 corruptions=9 detections=45 maxlat=19986 rollbacks=36 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@paranoid seed=2 HunIPU-shard2#0: runs=100 clean=5 survived=91 typed=4 corruptions=0 detections=134 maxlat=16 rollbacks=133 lost=61 reshards=57 quarantined=35 wrong=0 untyped=0
-fabric-silent@paranoid seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=130 maxlat=28 rollbacks=136 lost=59 reshards=59 quarantined=32 wrong=0 untyped=0
-bounded@0 seed=2 IPU@bounded(0)#0: runs=100 clean=24 survived=33 typed=43 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
+fabric-loss seed=2 HunIPU-shard2#0: runs=100 clean=15 survived=53 typed=32 corruptions=0 detections=0 maxlat=0 rollbacks=103 lost=68 reshards=52 quarantined=0 wrong=0 untyped=0
+fabric-loss seed=2 HunIPU-shard4#1: runs=100 clean=12 survived=62 typed=26 corruptions=0 detections=0 maxlat=0 rollbacks=146 lost=62 reshards=60 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=2 HunIPU#0: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=39 maxlat=19986 rollbacks=32 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=2 HunIPU-nocompress#1: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=40 maxlat=19980 rollbacks=33 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=2 HunIPU-2D#2: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=39 maxlat=19986 rollbacks=32 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@checksums seed=2 HunIPU-shard2#0: runs=100 clean=4 survived=96 typed=0 corruptions=0 detections=86 maxlat=32 rollbacks=110 lost=36 reshards=36 quarantined=10 wrong=0 untyped=0
+fabric-silent@checksums seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=95 maxlat=52 rollbacks=123 lost=38 reshards=38 quarantined=10 wrong=0 untyped=0
+silent@invariants seed=2 HunIPU#0: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=39 maxlat=19986 rollbacks=32 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=2 HunIPU-nocompress#1: runs=50 clean=12 survived=27 typed=0 corruptions=11 detections=54 maxlat=19980 rollbacks=43 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=2 HunIPU-2D#2: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=39 maxlat=19986 rollbacks=32 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@invariants seed=2 HunIPU-shard2#0: runs=100 clean=4 survived=96 typed=0 corruptions=0 detections=86 maxlat=32 rollbacks=110 lost=36 reshards=36 quarantined=10 wrong=0 untyped=0
+fabric-silent@invariants seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=95 maxlat=52 rollbacks=123 lost=38 reshards=38 quarantined=10 wrong=0 untyped=0
+silent@paranoid seed=2 HunIPU#0: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=41 maxlat=19986 rollbacks=34 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=2 HunIPU-nocompress#1: runs=50 clean=12 survived=27 typed=0 corruptions=11 detections=55 maxlat=19980 rollbacks=44 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=2 HunIPU-2D#2: runs=50 clean=12 survived=31 typed=0 corruptions=7 detections=41 maxlat=19986 rollbacks=34 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@paranoid seed=2 HunIPU-shard2#0: runs=100 clean=4 survived=92 typed=4 corruptions=0 detections=129 maxlat=16 rollbacks=128 lost=61 reshards=57 quarantined=35 wrong=0 untyped=0
+fabric-silent@paranoid seed=2 HunIPU-shard4#1: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=127 maxlat=28 rollbacks=135 lost=57 reshards=57 quarantined=30 wrong=0 untyped=0
+bounded@0 seed=2 IPU@bounded(0)#0: runs=100 clean=22 survived=33 typed=45 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
 bounded@0.01 seed=2 IPU@bounded(0.01)#0: runs=100 clean=20 survived=27 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00187473 maxtruegap=0
 bounded@0.1 seed=2 IPU@bounded(0.1)#0: runs=100 clean=19 survived=28 typed=53 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0308636 maxtruegap=0
-announced seed=3 HunIPU#0: runs=120 clean=25 survived=37 typed=58 corruptions=0 detections=0 maxlat=0 rollbacks=96 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=3 HunIPU-nocompress#1: runs=120 clean=28 survived=37 typed=55 corruptions=0 detections=0 maxlat=0 rollbacks=92 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=3 HunIPU-2D#2: runs=120 clean=25 survived=37 typed=58 corruptions=0 detections=0 maxlat=0 rollbacks=96 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-announced seed=3 HunIPU-shard2#3: runs=120 clean=23 survived=53 typed=44 corruptions=0 detections=0 maxlat=0 rollbacks=102 lost=74 reshards=46 quarantined=0 wrong=0 untyped=0
-announced seed=3 HunIPU-shard4#4: runs=120 clean=23 survived=68 typed=29 corruptions=0 detections=0 maxlat=0 rollbacks=102 lost=109 reshards=96 quarantined=0 wrong=0 untyped=0
+announced seed=3 HunIPU#0: runs=120 clean=25 survived=35 typed=60 corruptions=0 detections=0 maxlat=0 rollbacks=95 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=3 HunIPU-nocompress#1: runs=120 clean=26 survived=37 typed=57 corruptions=0 detections=0 maxlat=0 rollbacks=92 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=3 HunIPU-2D#2: runs=120 clean=25 survived=35 typed=60 corruptions=0 detections=0 maxlat=0 rollbacks=95 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+announced seed=3 HunIPU-shard2#3: runs=120 clean=25 survived=53 typed=42 corruptions=0 detections=0 maxlat=0 rollbacks=102 lost=72 reshards=46 quarantined=0 wrong=0 untyped=0
+announced seed=3 HunIPU-shard4#4: runs=120 clean=25 survived=70 typed=25 corruptions=0 detections=0 maxlat=0 rollbacks=101 lost=100 reshards=91 quarantined=0 wrong=0 untyped=0
 announced seed=3 FastHA#5: runs=120 clean=36 survived=0 typed=84 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
 announced seed=3 IPU-Auction#6: runs=120 clean=34 survived=13 typed=73 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=3 HunIPU-shard2#0: runs=100 clean=15 survived=47 typed=38 corruptions=0 detections=0 maxlat=0 rollbacks=147 lost=59 reshards=41 quarantined=0 wrong=0 untyped=0
-fabric-loss seed=3 HunIPU-shard4#1: runs=100 clean=11 survived=70 typed=19 corruptions=0 detections=0 maxlat=0 rollbacks=160 lost=62 reshards=62 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=3 HunIPU#0: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=32 maxlat=20001 rollbacks=27 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=3 HunIPU-nocompress#1: runs=50 clean=18 survived=26 typed=0 corruptions=6 detections=31 maxlat=20001 rollbacks=25 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@checksums seed=3 HunIPU-2D#2: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=32 maxlat=20001 rollbacks=27 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@checksums seed=3 HunIPU-shard2#0: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=104 maxlat=32 rollbacks=118 lost=43 reshards=43 quarantined=12 wrong=0 untyped=0
-fabric-silent@checksums seed=3 HunIPU-shard4#1: runs=100 clean=9 survived=91 typed=0 corruptions=0 detections=97 maxlat=52 rollbacks=136 lost=35 reshards=35 quarantined=17 wrong=0 untyped=0
-silent@invariants seed=3 HunIPU#0: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=32 maxlat=20001 rollbacks=27 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=3 HunIPU-nocompress#1: runs=50 clean=18 survived=26 typed=0 corruptions=6 detections=31 maxlat=20001 rollbacks=25 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@invariants seed=3 HunIPU-2D#2: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=32 maxlat=20001 rollbacks=27 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@invariants seed=3 HunIPU-shard2#0: runs=100 clean=6 survived=94 typed=0 corruptions=0 detections=104 maxlat=32 rollbacks=118 lost=43 reshards=43 quarantined=12 wrong=0 untyped=0
-fabric-silent@invariants seed=3 HunIPU-shard4#1: runs=100 clean=9 survived=91 typed=0 corruptions=0 detections=97 maxlat=52 rollbacks=136 lost=35 reshards=35 quarantined=17 wrong=0 untyped=0
-silent@paranoid seed=3 HunIPU#0: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=40 maxlat=20001 rollbacks=35 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=3 HunIPU-nocompress#1: runs=50 clean=18 survived=26 typed=0 corruptions=6 detections=40 maxlat=20001 rollbacks=34 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-silent@paranoid seed=3 HunIPU-2D#2: runs=50 clean=18 survived=27 typed=0 corruptions=5 detections=40 maxlat=20001 rollbacks=35 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
-fabric-silent@paranoid seed=3 HunIPU-shard2#0: runs=100 clean=6 survived=88 typed=6 corruptions=0 detections=134 maxlat=24 rollbacks=128 lost=63 reshards=57 quarantined=32 wrong=0 untyped=0
-fabric-silent@paranoid seed=3 HunIPU-shard4#1: runs=100 clean=9 survived=91 typed=0 corruptions=0 detections=123 maxlat=143 rollbacks=146 lost=51 reshards=51 quarantined=33 wrong=0 untyped=0
-bounded@0 seed=3 IPU@bounded(0)#0: runs=100 clean=32 survived=28 typed=40 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
+fabric-loss seed=3 HunIPU-shard2#0: runs=100 clean=18 survived=46 typed=36 corruptions=0 detections=0 maxlat=0 rollbacks=139 lost=58 reshards=42 quarantined=0 wrong=0 untyped=0
+fabric-loss seed=3 HunIPU-shard4#1: runs=100 clean=16 survived=64 typed=20 corruptions=0 detections=0 maxlat=0 rollbacks=157 lost=55 reshards=55 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=3 HunIPU#0: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=32 maxlat=20001 rollbacks=28 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=3 HunIPU-nocompress#1: runs=50 clean=19 survived=25 typed=0 corruptions=6 detections=30 maxlat=20001 rollbacks=24 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@checksums seed=3 HunIPU-2D#2: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=32 maxlat=20001 rollbacks=28 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@checksums seed=3 HunIPU-shard2#0: runs=100 clean=7 survived=93 typed=0 corruptions=0 detections=96 maxlat=96 rollbacks=110 lost=43 reshards=43 quarantined=12 wrong=0 untyped=0
+fabric-silent@checksums seed=3 HunIPU-shard4#1: runs=100 clean=8 survived=92 typed=0 corruptions=0 detections=89 maxlat=116 rollbacks=129 lost=33 reshards=33 quarantined=16 wrong=0 untyped=0
+silent@invariants seed=3 HunIPU#0: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=32 maxlat=20001 rollbacks=28 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=3 HunIPU-nocompress#1: runs=50 clean=19 survived=25 typed=0 corruptions=6 detections=30 maxlat=20001 rollbacks=24 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@invariants seed=3 HunIPU-2D#2: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=32 maxlat=20001 rollbacks=28 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@invariants seed=3 HunIPU-shard2#0: runs=100 clean=7 survived=93 typed=0 corruptions=0 detections=96 maxlat=96 rollbacks=110 lost=43 reshards=43 quarantined=12 wrong=0 untyped=0
+fabric-silent@invariants seed=3 HunIPU-shard4#1: runs=100 clean=8 survived=92 typed=0 corruptions=0 detections=89 maxlat=116 rollbacks=129 lost=33 reshards=33 quarantined=16 wrong=0 untyped=0
+silent@paranoid seed=3 HunIPU#0: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=42 maxlat=20001 rollbacks=38 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=3 HunIPU-nocompress#1: runs=50 clean=19 survived=25 typed=0 corruptions=6 detections=40 maxlat=20001 rollbacks=34 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+silent@paranoid seed=3 HunIPU-2D#2: runs=50 clean=18 survived=28 typed=0 corruptions=4 detections=42 maxlat=20001 rollbacks=38 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0
+fabric-silent@paranoid seed=3 HunIPU-shard2#0: runs=100 clean=7 survived=85 typed=6 corruptions=2 detections=128 maxlat=96 rollbacks=120 lost=63 reshards=57 quarantined=32 wrong=0 untyped=0
+fabric-silent@paranoid seed=3 HunIPU-shard4#1: runs=100 clean=8 survived=92 typed=0 corruptions=0 detections=113 maxlat=116 rollbacks=140 lost=46 reshards=46 quarantined=29 wrong=0 untyped=0
+bounded@0 seed=3 IPU@bounded(0)#0: runs=100 clean=35 survived=28 typed=37 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0 maxtruegap=0
 bounded@0.01 seed=3 IPU@bounded(0.01)#0: runs=100 clean=29 survived=22 typed=49 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.00155435 maxtruegap=0
 bounded@0.1 seed=3 IPU@bounded(0.1)#0: runs=100 clean=31 survived=22 typed=47 corruptions=0 detections=0 maxlat=0 rollbacks=0 lost=0 reshards=0 quarantined=0 wrong=0 untyped=0 gaprefusals=0 maxgap=0.0298339 maxtruegap=0
 `

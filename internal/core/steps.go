@@ -410,14 +410,14 @@ func (b *builder) buildStep3(name string) poplar.Program {
 
 // buildStep4 computes each row's zero status (Section IV-F): −1 no
 // uncovered zero, 0 uncovered zero and a star, 1 uncovered zero and no
-// star. Covers are staged once per row group, then each row scans only
-// its recorded zero positions.
+// star. Each row reads col_cover where it lives — the exchange
+// multicasts it once to every row tile — and scans only its recorded
+// zero positions.
 func (b *builder) buildStep4() poplar.Program {
 	g, n := b.g, b.n
 	status := g.AddComputeSet("s4_status")
+	covers := b.colCover.All()
 	for i := 0; i < n; i++ {
-		blk := i / b.rowsPerTile
-		covers := b.blockBcastRow(blk)
 		rcov := b.rowCover.Index(i)
 		star := b.rowStar.Index(i)
 		st := b.zeroStatus.Index(i)
@@ -487,7 +487,6 @@ func (b *builder) buildStep4() poplar.Program {
 	}, []*poplar.Tensor{b.statusMax}, []*poplar.Tensor{b.isPos, b.isNeg})
 
 	return poplar.Sequence(
-		b.bcastProgram(b.colCover, "s4_bcast"),
 		poplar.Execute(status),
 		reduce,
 		flags,
@@ -691,14 +690,14 @@ func (b *builder) buildStep5() poplar.Program {
 // buildStep6 finds the minimum uncovered slack value and updates the
 // matrix (Section IV-H): six thread segments per row compute pairwise
 // minima, two reductions produce the global minimum, and the same six
-// segments apply ±Δ and re-compress their part of the row.
+// segments apply ±Δ and re-compress their part of the row. Each segment
+// reads its own columns of col_cover, multicast by the exchange.
 func (b *builder) buildStep6() poplar.Program {
 	g, n := b.g, b.n
 	inf := math.Inf(1)
 
 	segMin := g.AddComputeSet("s6_segmin")
 	for i := 0; i < n; i++ {
-		blk := i / b.rowsPerTile
 		rcov := b.rowCover.Index(i)
 		for s := 0; s < b.threads; s++ {
 			lo, hi := b.segCols(s)
@@ -711,7 +710,7 @@ func (b *builder) buildStep6() poplar.Program {
 				continue
 			}
 			seg := b.slack.Slice(i*n+lo, i*n+hi)
-			covers := b.bcast.Slice(blk*n+lo, blk*n+hi)
+			covers := b.colCover.Slice(lo, hi)
 			segMin.AddVertex(b.rowTile(i), func(w *poplar.Worker) {
 				m := inf
 				if rcov.Data()[0] == 0 {
@@ -734,7 +733,6 @@ func (b *builder) buildStep6() poplar.Program {
 	update := g.AddComputeSet("s6_update")
 	minRef := b.minU.All()
 	for i := 0; i < n; i++ {
-		blk := i / b.rowsPerTile
 		rcov := b.rowCover.Index(i)
 		for s := 0; s < b.threads; s++ {
 			lo, hi := b.segCols(s)
@@ -742,7 +740,7 @@ func (b *builder) buildStep6() poplar.Program {
 				continue
 			}
 			seg := b.slack.Slice(i*n+lo, i*n+hi)
-			covers := b.bcast.Slice(blk*n+lo, blk*n+hi)
+			covers := b.colCover.Slice(lo, hi)
 			cnt := b.zeroCount.Index(i*b.threads + s)
 			var cseg poplar.Ref
 			if !b.o.DisableCompression {
@@ -832,7 +830,6 @@ func (b *builder) buildStep6() poplar.Program {
 	}
 
 	return poplar.Sequence(
-		b.bcastProgram(b.colCover, "s6_bcast"),
 		poplar.Execute(segMin),
 		reduceRows,
 		reduceAll,
