@@ -117,18 +117,25 @@ func fig5Workload(b *testing.B) *lsap.Matrix {
 	return m
 }
 
+// BenchmarkSolverHunIPU reports the simulated work of one solve beside
+// its host time: supersteps/op, vertices/op and modeled-us/op, so
+// ns/op divided by either count is the host cost of one simulated event.
 func BenchmarkSolverHunIPU(b *testing.B) {
 	m := fig5Workload(b)
 	s, err := core.New(core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var r *core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(m); err != nil {
+		if r, err = s.SolveDetailed(m); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(r.Stats.Supersteps), "supersteps/op")
+	b.ReportMetric(float64(r.Stats.VerticesRun), "vertices/op")
+	b.ReportMetric(float64(r.Modeled.Nanoseconds())/1e3, "modeled-us/op")
 }
 
 func BenchmarkSolverFastHA(b *testing.B) {
