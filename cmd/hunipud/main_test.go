@@ -85,6 +85,7 @@ func TestSolveEndpointErrors(t *testing.T) {
 		{"ragged matrix", `{"costs":[[1,2],[3]]}`, http.StatusBadRequest, "invalid_input"},
 		// Priced by its first row, this body would need 100² ms.
 		{"ragged with deadline", `{"costs":[[` + strings.Repeat("0,", 99) + `0],[3]],"deadline_ms":50}`, http.StatusBadRequest, "invalid_input"},
+		{"max float entry", `{"costs":[[1,1.7976931348623157e308],[3,4]]}`, http.StatusBadRequest, "invalid_input"},
 		{"deadline too short", `{"costs":[[4,1,3],[2,0,5],[3,2,2]],"deadline_ms":1}`, http.StatusUnprocessableEntity, "deadline_too_short"},
 		// Last: if served, it would teach the cost model that 3×3 is cheap.
 		{"trailing bytes", `{"costs":[[4,1,3],[2,0,5],[3,2,2]]} trailing garbage`, http.StatusBadRequest, "bad_request"},
