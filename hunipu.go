@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"hunipu/internal/core"
-	"hunipu/internal/cpuhung"
 	"hunipu/internal/faultinject"
 	"hunipu/internal/graphalign"
 	"hunipu/internal/lsap"
@@ -165,7 +164,7 @@ func Solve(costs [][]float64, opts ...Option) (*Result, error) {
 }
 
 // ErrInvalidInput is wrapped by every cost-matrix validation failure
-// (ragged rows, NaN/Inf entries, reserved sentinel values), so
+// (ragged rows, NaN/Inf entries, cost ranges too wide), so
 // front-ends can map bad requests to a client error without matching
 // message text. Match with errors.Is.
 var ErrInvalidInput = errors.New("invalid input")
@@ -180,16 +179,14 @@ var ErrInvalidInput = errors.New("invalid input")
 const rangeHeadroom = 1 << 10
 
 // ValidateCosts rejects ragged inputs and entries no solver can
-// process: NaN, ±Inf, and values at or above the lsap.Forbidden
-// sentinel, each wrapping ErrInvalidInput. It also rejects a cost
-// range whose arithmetic overflows: n·(|max| + |min|), with n the
-// padded size, must stay finite with rangeHeadroom to spare. That one
-// bound covers the auctions' benefit range max − min and prices, the
-// cost of every matching and of every dual bound, and Maximize's
-// converted entries max − c. Every public entry point shares this
-// check so that a matrix accepted by Solve is also accepted by
-// SolveKBest and SolveBottleneck, and vice versa; a front end calls it
-// to refuse a bad matrix before it spends anything on it.
+// process, NaN and ±Inf, each wrapping ErrInvalidInput. It also
+// rejects a cost range whose arithmetic overflows: n·(|max| + |min|),
+// with n the padded size, must stay finite with rangeHeadroom to
+// spare. That one bound covers the auctions' benefit range max − min
+// and prices, the cost of every matching and of every dual bound, and
+// Maximize's converted entries max − c. Solve and every device share
+// this check; a front end calls it to refuse a bad matrix before it
+// spends anything on it.
 func ValidateCosts(costs [][]float64) error {
 	if len(costs) == 0 {
 		return nil
@@ -203,9 +200,6 @@ func ValidateCosts(costs [][]float64) error {
 		for j, v := range r {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("hunipu: cost[%d][%d] = %g, all entries must be finite: %w", i, j, v, ErrInvalidInput)
-			}
-			if v >= lsap.Forbidden {
-				return fmt.Errorf("hunipu: cost[%d][%d] = %g is reserved for forbidden edges: %w", i, j, v, ErrInvalidInput)
 			}
 			hi, lo = max(hi, v), min(lo, v)
 		}
@@ -314,59 +308,4 @@ func rows(m *lsap.Matrix) [][]float64 {
 		out[i] = append([]float64(nil), m.Row(i)...)
 	}
 	return out
-}
-
-// SolveKBest returns the k lowest-cost assignments in increasing cost
-// order (Murty's algorithm), or fewer when the problem admits fewer
-// feasible matchings. Subproblems require forbidden-edge support, so
-// the enumeration always runs on the CPU JV solver regardless of
-// device options; the matrix must be square.
-func SolveKBest(costs [][]float64, k int) ([]*Result, error) {
-	if err := ValidateCosts(costs); err != nil {
-		return nil, err
-	}
-	m, err := lsap.FromRows(costs)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	sols, err := lsap.KBest(m, k, cpuhung.JV{})
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	out := make([]*Result, len(sols))
-	for i, s := range sols {
-		out[i] = &Result{
-			Assignment: append([]int(nil), s.Assignment...),
-			Cost:       s.Cost,
-			Device:     DeviceCPU,
-			Wall:       wall,
-		}
-	}
-	return out, nil
-}
-
-// SolveBottleneck minimises the *maximum* edge cost of a perfect
-// matching (the bottleneck assignment problem) instead of the sum.
-// Result.Cost is the bottleneck value. The matrix must be square.
-func SolveBottleneck(costs [][]float64) (*Result, error) {
-	if err := ValidateCosts(costs); err != nil {
-		return nil, err
-	}
-	m, err := lsap.FromRows(costs)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	sol, err := lsap.BottleneckSolve(m)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Assignment: append([]int(nil), sol.Assignment...),
-		Cost:       sol.Cost,
-		Device:     DeviceCPU,
-		Wall:       time.Since(start),
-	}, nil
 }

@@ -70,9 +70,9 @@ func TestSolveInputValidation(t *testing.T) {
 			wantErr: "finite",
 		},
 		{
-			name:    "reserved forbidden sentinel",
+			name:    "max float entry",
 			costs:   [][]float64{{1, math.MaxFloat64}, {3, 4}},
-			wantErr: "reserved",
+			wantErr: "too wide",
 		},
 		{
 			name:    "NaN under Maximize",

@@ -276,37 +276,3 @@ func TestIntegrationDatasetAlignment(t *testing.T) {
 		}
 	}
 }
-
-func TestSolveKBestFacade(t *testing.T) {
-	costs := [][]float64{
-		{1, 2},
-		{2, 4},
-	}
-	sols, err := SolveKBest(costs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols) != 2 {
-		t.Fatalf("got %d solutions", len(sols))
-	}
-	if sols[0].Cost != 4 || sols[1].Cost != 5 {
-		t.Fatalf("costs = %g, %g; want 4, 5", sols[0].Cost, sols[1].Cost)
-	}
-	if _, err := SolveKBest(costs, 0); err == nil {
-		t.Fatal("k = 0 accepted")
-	}
-}
-
-func TestSolveBottleneckFacade(t *testing.T) {
-	res, err := SolveBottleneck([][]float64{
-		{1, 4, 9},
-		{4, 1, 9},
-		{5, 5, 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != 9 {
-		t.Fatalf("bottleneck = %g, want 9", res.Cost)
-	}
-}

@@ -182,8 +182,8 @@ func TestZooAllSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // Zoo fails on any solver missing the optimum
 	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("zoo rows = %d, want 9", len(tab.Rows))
+	if len(tab.Rows) != 7 {
+		t.Fatalf("zoo rows = %d, want 7", len(tab.Rows))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/datasets"
-	"hunipu/internal/datenagi"
 	"hunipu/internal/fastha"
 	"hunipu/internal/gpuauction"
 	"hunipu/internal/graphalign"
@@ -346,9 +345,9 @@ func (h *Harness) Ablations() (*Table, error) {
 }
 
 // Zoo benchmarks every solver in the repository on one Figure-5-style
-// workload — the paper's two baselines plus the extra implementations
-// (Date & Nagi's tree-based GPU Hungarian, the parallel CPU JV, the
-// auction algorithm) — and cross-checks that all reach the optimum.
+// workload — HunIPU, the paper's two baselines, and the auctions the
+// degradation ladder serves with — and cross-checks that all reach the
+// optimum.
 func (h *Harness) Zoo() (*Table, error) {
 	n := h.cfg.Sizes[len(h.cfg.Sizes)-1]
 	k := 500
@@ -403,17 +402,6 @@ func (h *Harness) Zoo() (*Table, error) {
 	if err := addModeled("FastHA", "A100 (sim)", fr.Modeled, fr.Solution.Cost); err != nil {
 		return nil, err
 	}
-	dn, err := datenagi.New(datenagi.Options{})
-	if err != nil {
-		return nil, err
-	}
-	dr, err := dn.SolveDetailed(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := addModeled("DateNagi", "A100 (sim)", dr.Modeled, dr.Solution.Cost); err != nil {
-		return nil, err
-	}
 	ga, err := gpuauction.New(gpuauction.Options{})
 	if err != nil {
 		return nil, err
@@ -436,7 +424,7 @@ func (h *Harness) Zoo() (*Table, error) {
 	if err := addModeled("IPU-Auction", "IPU Mk2 (sim)", ir.Modeled, ir.Solution.Cost); err != nil {
 		return nil, err
 	}
-	for _, s := range []lsap.Solver{cpuhung.JV{}, cpuhung.ParallelJV{}, cpuhung.Munkres{}, cpuhung.Auction{}} {
+	for _, s := range []lsap.Solver{cpuhung.JV{}, cpuhung.Munkres{}, cpuhung.Auction{}} {
 		if err := addWall(s, "host CPU"); err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/datasets"
-	"hunipu/internal/datenagi"
 	"hunipu/internal/fastha"
 	"hunipu/internal/gpuauction"
 	"hunipu/internal/ipu"
@@ -31,10 +30,6 @@ func TestAllSolversOnPaperWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dn, err := datenagi.New(datenagi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ga, err := gpuauction.New(gpuauction.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +38,8 @@ func TestAllSolversOnPaperWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvers := []lsap.Solver{hun, fha, dn, ga, ia,
-		cpuhung.JV{}, cpuhung.ParallelJV{}, cpuhung.Munkres{}, cpuhung.Auction{}}
+	solvers := []lsap.Solver{hun, fha, ga, ia,
+		cpuhung.JV{}, cpuhung.Munkres{}, cpuhung.Auction{}}
 
 	for _, gen := range []struct {
 		name string

@@ -84,7 +84,7 @@ func FuzzDifferentialSolve(f *testing.F) {
 		if err := ct.Certify(m, ref); err != nil {
 			t.Fatalf("JV certificate: %v", err)
 		}
-		solvers := []lsap.Solver{cpuhung.ParallelJV{}, cpuhung.Munkres{}, cpuhung.Auction{}}
+		solvers := []lsap.Solver{cpuhung.Munkres{}, cpuhung.Auction{}}
 		if m.N <= lsap.MaxBruteForceN {
 			solvers = append(solvers, lsap.BruteForce{})
 		}

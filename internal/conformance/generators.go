@@ -85,9 +85,8 @@ func genDegenerateRows(rng *rand.Rand, n int) *lsap.Matrix {
 }
 
 // genNearInf uses magnitudes around 10^12 with small relative spreads:
-// still exactly representable in float64 (and far below lsap.Forbidden)
-// but adversarial for any solver that accumulates slacks or ε-scales
-// from the value range.
+// still exactly representable in float64 but adversarial for any
+// solver that accumulates slacks or ε-scales from the value range.
 func genNearInf(rng *rand.Rand, n int) *lsap.Matrix {
 	const base = 1e12
 	m := lsap.NewMatrix(n)

@@ -27,7 +27,6 @@ import (
 
 	"hunipu/internal/core"
 	"hunipu/internal/cpuhung"
-	"hunipu/internal/datenagi"
 	"hunipu/internal/fastha"
 	"hunipu/internal/gpuauction"
 	"hunipu/internal/ipu"
@@ -47,10 +46,6 @@ type Entry struct {
 	// MaxN caps the instance size this solver is asked to handle
 	// (0 = no cap). Only the factorial brute-force oracle needs one.
 	MaxN int
-	// SupportsForbidden reports whether the solver accepts
-	// lsap.Forbidden entries; generators never emit them, but the
-	// fuzz targets use this to route masked instances.
-	SupportsForbidden bool
 	// Certifying reports whether the solver emits its own dual
 	// potentials; the oracle then checks complementary slackness
 	// directly instead of borrowing duals.
@@ -98,16 +93,9 @@ func (p paddedFastHA) Solve(c *lsap.Matrix) (*lsap.Solution, error) {
 func Registry() []Entry {
 	return []Entry{
 		{
-			Name:              "CPU-JV",
-			New:               func() (lsap.Solver, error) { return cpuhung.JV{}, nil },
-			SupportsForbidden: true,
-			Certifying:        true,
-		},
-		{
-			Name:              "CPU-ParallelJV",
-			New:               func() (lsap.Solver, error) { return cpuhung.ParallelJV{}, nil },
-			SupportsForbidden: true,
-			Certifying:        true,
+			Name:       "CPU-JV",
+			New:        func() (lsap.Solver, error) { return cpuhung.JV{}, nil },
+			Certifying: true,
 		},
 		{
 			Name: "CPU-Munkres",
@@ -170,14 +158,9 @@ func Registry() []Entry {
 			New:  func() (lsap.Solver, error) { return gpuauction.New(gpuauction.Options{}) },
 		},
 		{
-			Name: "DateNagi",
-			New:  func() (lsap.Solver, error) { return datenagi.New(datenagi.Options{}) },
-		},
-		{
-			Name:              "BruteForce",
-			New:               func() (lsap.Solver, error) { return lsap.BruteForce{}, nil },
-			MaxN:              9,
-			SupportsForbidden: true,
+			Name: "BruteForce",
+			New:  func() (lsap.Solver, error) { return lsap.BruteForce{}, nil },
+			MaxN: 9,
 		},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -381,12 +382,12 @@ func TestFabricOptionValidation(t *testing.T) {
 	}
 }
 
-// TestFabricForbiddenRejected pins the masked-edge contract.
-func TestFabricForbiddenRejected(t *testing.T) {
+// TestFabricNonFiniteRejected: a fabric solve refuses an infinite cost.
+func TestFabricNonFiniteRejected(t *testing.T) {
 	m := lsap.NewMatrix(2)
-	m.Data = []float64{1, lsap.Forbidden, 2, 3}
+	m.Data = []float64{1, math.Inf(1), 2, 3}
 	if _, _, err := fabricSolve(t, fabricOptions(2), "", m); err == nil {
-		t.Fatal("forbidden edge accepted")
+		t.Fatal("+Inf entry accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"hunipu/internal/faultinject"
 	"hunipu/internal/ipu"
-	"hunipu/internal/lsap"
 	"hunipu/internal/poplar"
 )
 
@@ -397,7 +397,7 @@ func TestCacheBuildFailureNotMemoized(t *testing.T) {
 	}
 }
 
-var errBuildFailed = lsap.ErrInfeasible // any sentinel; only identity matters here
+var errBuildFailed = errors.New("build failed")
 
 // TestCompileHostReflectsWarmth sanity-checks Result.CompileHost, which
 // hunipubench reads for its program-cache acquire time: warm

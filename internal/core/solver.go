@@ -132,8 +132,8 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		return &Result{Solution: &lsap.Solution{Assignment: lsap.Assignment{}}, Fabric: fab}, nil
 	}
 	for _, v := range c.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == lsap.Forbidden {
-			return nil, fmt.Errorf("core: cost matrix must be finite (mask forbidden edges before solving)")
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: cost matrix must be finite")
 		}
 	}
 

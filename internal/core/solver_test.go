@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -190,9 +191,9 @@ func TestSolveAdversarialProducts(t *testing.T) {
 func TestSolveRejectsNonFinite(t *testing.T) {
 	s := newSolver(t, testOptions())
 	m := lsap.NewMatrix(2)
-	m.Set(0, 0, lsap.Forbidden)
+	m.Set(0, 0, math.Inf(1))
 	if _, err := s.Solve(m); err == nil {
-		t.Fatal("expected error for forbidden edge")
+		t.Fatal("expected error for +Inf entry")
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpuhung
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,35 +92,16 @@ func TestJVIdentityMatrix(t *testing.T) {
 	}
 }
 
-func TestJVForbiddenEdges(t *testing.T) {
-	// Feasible only via the anti-diagonal.
-	m, _ := lsap.FromRows([][]float64{
-		{lsap.Forbidden, 2},
-		{3, lsap.Forbidden},
-	})
-	sol, err := (JV{}).Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Cost != 5 {
-		t.Fatalf("cost = %g, want 5", sol.Cost)
-	}
-}
-
+// TestJVInfeasible: when no augmenting path has a finite length, JV
+// returns an error instead of stepping to a column it never found.
+// Validated inputs cannot get here; +Inf entries can.
 func TestJVInfeasible(t *testing.T) {
 	m, _ := lsap.FromRows([][]float64{
-		{lsap.Forbidden, 1},
-		{lsap.Forbidden, 2},
+		{math.Inf(1), 1},
+		{math.Inf(1), 2},
 	})
 	if _, err := (JV{}).Solve(m); err == nil {
-		t.Fatal("expected infeasibility error")
-	}
-}
-
-func TestMunkresRejectsForbidden(t *testing.T) {
-	m, _ := lsap.FromRows([][]float64{{lsap.Forbidden, 1}, {1, 1}})
-	if _, err := (Munkres{}).Solve(m); err == nil {
-		t.Fatal("Munkres should reject forbidden edges")
+		t.Fatal("expected an error")
 	}
 }
 
@@ -263,94 +245,6 @@ func sizeName(n int) string {
 	}
 }
 
-func TestParallelJVMatchesJVExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{64, 100, 150, 257} {
-		m := randomIntMatrix(rng, n, 20*n)
-		want, err := (JV{}).Solve(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 2, 3, 8} {
-			got, err := (ParallelJV{Workers: workers}).Solve(m)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			if got.Cost != want.Cost {
-				t.Fatalf("n=%d workers=%d: cost %g, want %g", n, workers, got.Cost, want.Cost)
-			}
-			// Bit-identical: the tie-breaking must not depend on the
-			// worker count.
-			for i := range want.Assignment {
-				if got.Assignment[i] != want.Assignment[i] {
-					t.Fatalf("n=%d workers=%d: assignment differs at row %d", n, workers, i)
-				}
-			}
-			if err := lsap.VerifyOptimal(m, got.Assignment, *got.Potentials, 1e-9); err != nil {
-				t.Fatalf("n=%d workers=%d: certificate: %v", n, workers, err)
-			}
-		}
-	}
-}
-
-func TestParallelJVSmallFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := randomIntMatrix(rng, 8, 80)
-	got, err := (ParallelJV{}).Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := (JV{}).Solve(m)
-	if got.Cost != want.Cost {
-		t.Fatalf("fallback cost %g, want %g", got.Cost, want.Cost)
-	}
-}
-
-func TestParallelJVForbidden(t *testing.T) {
-	// Forbidden edges still work through the parallel path (n ≥ 64).
-	n := 80
-	m := lsap.NewMatrix(n)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if (i+j)%7 == 3 && i != j {
-				m.Set(i, j, lsap.Forbidden)
-			} else {
-				m.Set(i, j, float64(1+rng.Intn(500)))
-			}
-		}
-	}
-	want, err := (JV{}).Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := (ParallelJV{Workers: 4}).Solve(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost != want.Cost {
-		t.Fatalf("cost %g, want %g", got.Cost, want.Cost)
-	}
-}
-
-func TestParallelJVEmpty(t *testing.T) {
-	sol, err := (ParallelJV{}).Solve(lsap.NewMatrix(0))
-	if err != nil || len(sol.Assignment) != 0 {
-		t.Fatalf("empty: %v %v", sol, err)
-	}
-}
-
-func BenchmarkParallelJV(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomIntMatrix(rng, 256, 2560)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (ParallelJV{}).Solve(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestMunkresZeroMatrix(t *testing.T) {
 	// All-zero costs: any permutation is optimal at cost 0; the greedy
 	// initial matching should already be perfect (no augmentation).
@@ -378,7 +272,7 @@ func TestPermutationMatrixRecovered(t *testing.T) {
 	for i, j := range perm {
 		m.Set(i, j, 0)
 	}
-	for _, s := range []lsap.Solver{JV{}, Munkres{}, Auction{}, ParallelJV{Workers: 3}} {
+	for _, s := range allSolvers {
 		sol, err := s.Solve(m)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -25,8 +25,7 @@ type JV struct{}
 // Name implements lsap.Solver.
 func (JV) Name() string { return "CPU-JV" }
 
-// Solve implements lsap.Solver. Forbidden edges are treated as +Inf;
-// if the optimal matching would need one, ErrInfeasible is returned.
+// Solve implements lsap.Solver.
 func (s JV) Solve(c *lsap.Matrix) (*lsap.Solution, error) {
 	return s.SolveContext(context.Background(), c)
 }
@@ -46,14 +45,6 @@ func (JV) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Solution, err
 	v := make([]float64, n+1)
 	p := make([]int, n+1)   // p[j]: row matched to column j (0 = unmatched)
 	way := make([]int, n+1) // way[j]: previous column on the alternating path
-
-	cost := func(i, j int) float64 { // 1-indexed view of c
-		cij := c.At(i-1, j-1)
-		if cij == lsap.Forbidden {
-			return inf
-		}
-		return cij
-	}
 
 	minv := make([]float64, n+1)
 	used := make([]bool, n+1)
@@ -78,7 +69,7 @@ func (JV) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Solution, err
 				if used[j] {
 					continue
 				}
-				cur := cost(i0, j) - u[i0] - v[j]
+				cur := c.At(i0-1, j-1) - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -89,7 +80,7 @@ func (JV) SolveContext(ctx context.Context, c *lsap.Matrix) (*lsap.Solution, err
 				}
 			}
 			if j1 < 0 || math.IsInf(delta, 1) {
-				return nil, lsap.ErrInfeasible
+				return nil, fmt.Errorf("cpuhung: internal error, no augmenting path from row %d", i)
 			}
 			for j := 0; j <= n; j++ {
 				if used[j] {

@@ -33,11 +33,6 @@ func (Munkres) Solve(c *lsap.Matrix) (*lsap.Solution, error) {
 	if n == 0 {
 		return &lsap.Solution{Assignment: lsap.Assignment{}}, nil
 	}
-	for _, v := range c.Data {
-		if v == lsap.Forbidden {
-			return nil, fmt.Errorf("cpuhung: Munkres does not support forbidden edges; mask costs first")
-		}
-	}
 	st := &munkresState{
 		n:        n,
 		s:        append([]float64(nil), c.Data...),

@@ -173,7 +173,7 @@ func (s *Solver) SolveDetailedContext(ctx context.Context, c *lsap.Matrix) (*Res
 		return nil, fmt.Errorf("fastha: matrix size %d is not a power of two (use SolvePadded)", n)
 	}
 	for _, v := range c.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == lsap.Forbidden {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("fastha: cost matrix must be finite")
 		}
 	}

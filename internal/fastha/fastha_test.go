@@ -1,6 +1,7 @@
 package fastha
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,9 +49,9 @@ func TestSolveRejectsNonPow2(t *testing.T) {
 
 func TestSolveRejectsNonFinite(t *testing.T) {
 	m := lsap.NewMatrix(2)
-	m.Set(1, 1, lsap.Forbidden)
+	m.Set(1, 1, math.Inf(1))
 	if _, err := newSolver(t).Solve(m); err == nil {
-		t.Fatal("forbidden edge accepted")
+		t.Fatal("+Inf entry accepted")
 	}
 }
 

@@ -40,11 +40,6 @@ type Config struct {
 	WarpSchedulers int
 	// MaxThreadsPerBlock bounds block size.
 	MaxThreadsPerBlock int
-	// SharedMemPerBlock is the shared-memory budget of one block, in
-	// bytes (A100: up to 164 KiB configurable).
-	SharedMemPerBlock int
-	// SharedLatency is the cycles of one shared-memory access.
-	SharedLatency int64
 	// ClockHz converts cycles to modeled seconds.
 	ClockHz float64
 	// GlobalLatency is the cycles of an uncoalesced global access.
@@ -75,8 +70,6 @@ func A100() Config {
 		WarpSize:             32,
 		WarpSchedulers:       4,
 		MaxThreadsPerBlock:   1024,
-		SharedMemPerBlock:    164 * 1024,
-		SharedLatency:        20,
 		ClockHz:              1.41e9,
 		GlobalLatency:        400,
 		MemBytesPerCycle:     1100, // ≈1.55 TB/s at 1.41 GHz
@@ -196,9 +189,7 @@ type Thread struct {
 
 	cycles  int64
 	bytes   int64
-	shared  int64
 	atomics map[int]int64
-	fault   error
 	dev     *Device
 }
 
@@ -221,27 +212,6 @@ func (t *Thread) GlobalCoalesced(n int64) {
 func (t *Thread) GlobalRandom(n int64) {
 	t.bytes += n
 	t.cycles += t.dev.cfg.GlobalLatency
-}
-
-// SharedStage charges copying n bytes from global memory into the
-// block's shared memory (one cooperative staging pass per block in a
-// real kernel — here charged per thread at coalesced cost, and the
-// total is validated against the per-block shared budget).
-func (t *Thread) SharedStage(n int64) {
-	t.shared += n
-	if t.shared > int64(t.dev.cfg.SharedMemPerBlock) {
-		t.fault = fmt.Errorf("gpu: shared memory overflow: %d > %d bytes",
-			t.shared, t.dev.cfg.SharedMemPerBlock)
-	}
-	t.bytes += n
-	t.cycles += t.dev.cfg.GlobalLatency / int64(t.dev.cfg.WarpSize)
-}
-
-// SharedLoad charges one shared-memory access: a few cycles, no
-// global-memory traffic — the reason real GPU Hungarian kernels cache
-// cover flags in shared memory.
-func (t *Thread) SharedLoad() {
-	t.cycles += t.dev.cfg.SharedLatency / int64(t.dev.cfg.WarpSize)
 }
 
 // Atomic charges an atomic operation on the location key; atomics on
@@ -287,9 +257,6 @@ func (d *Device) Launch(name string, blocks, threadsPerBlock int, k Kernel) (int
 				}
 				th := Thread{Block: b, Idx: idx, BlockDim: threadsPerBlock, GridDim: blocks, dev: d}
 				k(&th)
-				if th.fault != nil {
-					return 0, fmt.Errorf("gpu: launch %q: %w", name, th.fault)
-				}
 				warpCycles = append(warpCycles, th.cycles)
 				totalBytes += th.bytes
 				for key, c := range th.atomics {

@@ -212,34 +212,3 @@ func TestHostSyncCharges(t *testing.T) {
 		t.Fatalf("Cycles = %d, want %d", s.Cycles, 2*cfg.HostSyncCycles)
 	}
 }
-
-func TestSharedMemoryModel(t *testing.T) {
-	cfg := A100()
-	// Shared loads cost far less than uncoalesced global loads.
-	dShared, _ := NewDevice(cfg)
-	dGlobal, _ := NewDevice(cfg)
-	sh, err := dShared.Launch("s", 1, 32, func(th *Thread) {
-		th.SharedStage(4096)
-		for i := 0; i < 1000; i++ {
-			th.SharedLoad()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, _ := dGlobal.Launch("g", 1, 32, func(th *Thread) {
-		for i := 0; i < 1000; i++ {
-			th.GlobalRandom(4)
-		}
-	})
-	if sh >= gl {
-		t.Fatalf("shared path (%d) should beat global path (%d)", sh, gl)
-	}
-	// Overflowing the per-block budget fails the launch.
-	dOver, _ := NewDevice(cfg)
-	if _, err := dOver.Launch("o", 1, 1, func(th *Thread) {
-		th.SharedStage(int64(cfg.SharedMemPerBlock) + 1)
-	}); err == nil {
-		t.Fatal("shared overflow accepted")
-	}
-}

@@ -1,7 +1,9 @@
 package gpuauction
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,11 +136,14 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestRejectsNonFinite: the entry check refuses an infinite cost by
+// name. Without it the cost-range check would refuse this matrix too,
+// so the error must say "finite".
 func TestRejectsNonFinite(t *testing.T) {
 	m := lsap.NewMatrix(2)
-	m.Set(0, 0, lsap.Forbidden)
-	if _, err := newSolver(t).Solve(m); err == nil {
-		t.Fatal("forbidden edge accepted")
+	m.Set(0, 0, math.Inf(1))
+	if _, err := newSolver(t).Solve(m); err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Fatalf("+Inf entry: error %v, want one that names finite costs", err)
 	}
 }
 

@@ -68,17 +68,16 @@ func (d AuctionDriver) Validate() error {
 
 // Prepare validates Epsilon, c and the warm prices, and returns the
 // row-major benefit matrix, its largest entry, and the starting prices.
-// Costs must be finite and free of Forbidden entries, and their range
-// must not overflow float64: an infinite largest benefit leaves no ε
-// schedule to run.
+// Costs must be finite, and their range must not overflow float64: an
+// infinite largest benefit leaves no ε schedule to run.
 func (d AuctionDriver) Prepare(c *Matrix) (benefit []float64, maxB float64, price []float64, err error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, nil, err
 	}
 	maxC := math.Inf(-1)
 	for _, v := range c.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == Forbidden {
-			return nil, 0, nil, fmt.Errorf("lsap: %s needs finite costs without forbidden edges", d.Solver)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, 0, nil, fmt.Errorf("lsap: %s needs finite costs", d.Solver)
 		}
 		if v > maxC {
 			maxC = v

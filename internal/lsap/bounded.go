@@ -49,11 +49,11 @@ func NormalizedGap(cost, bound float64) float64 {
 }
 
 // PriceDuals derives feasible minimisation potentials from auction
-// column prices: v[j] = −p[j] and u[i] = min over non-forbidden j of
-// C[i][j] + p[j]. Feasibility u[i]+v[j] ≤ C[i][j] holds by
-// construction for *any* finite prices — garbage prices only weaken
-// the bound, never break it — so DualObjective of the result is always
-// a sound lower bound on every perfect matching of c. For prices at
+// column prices: v[j] = −p[j] and u[i] = min over j of C[i][j] + p[j].
+// Feasibility u[i]+v[j] ≤ C[i][j] holds by construction for *any*
+// finite prices — garbage prices only weaken the bound, never break
+// it — so DualObjective of the result is always a sound lower bound
+// on every perfect matching of c. For prices at
 // ε-complementary-slackness with an assignment (the auction's phase
 // invariant), the certified gap is at most n·ε.
 func PriceDuals(c *Matrix, price []float64) Potentials {
@@ -65,11 +65,7 @@ func PriceDuals(c *Matrix, price []float64) Potentials {
 	for i := 0; i < n; i++ {
 		best := math.Inf(1)
 		for j := 0; j < n; j++ {
-			cij := c.At(i, j)
-			if cij == Forbidden {
-				continue
-			}
-			if v := cij + price[j]; v < best {
+			if v := c.At(i, j) + price[j]; v < best {
 				best = v
 			}
 		}
@@ -83,9 +79,6 @@ func PriceDuals(c *Matrix, price []float64) Potentials {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			cij := c.At(i, j)
-			if cij == Forbidden {
-				continue
-			}
 			for p.U[i]+p.V[j] > cij {
 				p.U[i] = math.Nextafter(p.U[i], math.Inf(-1))
 			}
@@ -96,10 +89,10 @@ func PriceDuals(c *Matrix, price []float64) Potentials {
 
 // ClampFeasible lowers prior row potentials until (u,v) is feasible
 // for c: v is kept as given and u[i] becomes
-// min(prior.U[i], min over non-forbidden j of C[i][j] − v[j]). Any
-// finite prior therefore becomes a valid dual certificate — a stale or
-// mismatched warm start costs tightness, never soundness. Rows with no
-// usable edge, length mismatches, and non-finite priors are rejected.
+// min(prior.U[i], min over j of C[i][j] − v[j]). Any finite prior
+// therefore becomes a valid dual certificate — a stale or mismatched
+// warm start costs tightness, never soundness. Length mismatches and
+// non-finite priors are rejected.
 func ClampFeasible(c *Matrix, prior Potentials) (Potentials, error) {
 	n := c.N
 	if len(prior.U) != n || len(prior.V) != n {
@@ -122,19 +115,10 @@ func ClampFeasible(c *Matrix, prior Potentials) (Potentials, error) {
 	}
 	for i := 0; i < n; i++ {
 		u := prior.U[i]
-		usable := false
 		for j := 0; j < n; j++ {
-			cij := c.At(i, j)
-			if cij == Forbidden {
-				continue
-			}
-			usable = true
-			if slack := cij - out.V[j]; slack < u {
+			if slack := c.At(i, j) - out.V[j]; slack < u {
 				u = slack
 			}
-		}
-		if !usable {
-			return Potentials{}, fmt.Errorf("lsap: row %d has no usable edge: %w", i, ErrInfeasible)
 		}
 		out.U[i] = u
 	}

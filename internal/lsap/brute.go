@@ -1,6 +1,7 @@
 package lsap
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -16,12 +17,17 @@ const MaxBruteForceN = 10
 func (BruteForce) Name() string { return "BruteForce" }
 
 // Solve enumerates all permutations and returns the cheapest perfect
-// matching. Forbidden edges are never used; if every permutation hits a
-// forbidden edge the problem is infeasible.
+// matching. Every entry must be finite, and so must the cost of some
+// matching: no comparison can pick among infinite or NaN costs.
 func (BruteForce) Solve(c *Matrix) (*Solution, error) {
 	n := c.N
 	if n > MaxBruteForceN {
 		return nil, fmt.Errorf("lsap: brute force limited to n ≤ %d, got %d", MaxBruteForceN, n)
+	}
+	for k, v := range c.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("lsap: brute force needs finite costs, C[%d][%d] = %g", k/n, k%n, v)
+		}
 	}
 	if n == 0 {
 		return &Solution{Assignment: Assignment{}, Cost: 0}, nil
@@ -41,9 +47,7 @@ func (BruteForce) Solve(c *Matrix) (*Solution, error) {
 	for i := n - 1; i >= 0; i-- {
 		rowMin := math.Inf(1)
 		for j := 0; j < n; j++ {
-			if cij := c.At(i, j); cij != Forbidden && cij < rowMin {
-				rowMin = cij
-			}
+			rowMin = min(rowMin, c.At(i, j))
 		}
 		suffix[i] = suffix[i+1] + rowMin
 	}
@@ -63,19 +67,15 @@ func (BruteForce) Solve(c *Matrix) (*Solution, error) {
 			if used[j] {
 				continue
 			}
-			cij := c.At(i, j)
-			if cij == Forbidden {
-				continue
-			}
 			used[j] = true
 			perm[i] = j
-			rec(i+1, cost+cij)
+			rec(i+1, cost+c.At(i, j))
 			used[j] = false
 		}
 	}
 	rec(0, 0)
 	if !found {
-		return nil, ErrInfeasible
+		return nil, errors.New("lsap: brute force: every matching's cost overflows float64")
 	}
 	a := make(Assignment, n)
 	copy(a, bestPerm)

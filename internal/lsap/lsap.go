@@ -10,19 +10,9 @@ package lsap
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrInfeasible reports that no perfect matching exists (only possible
-// when Inf entries forbid edges; finite matrices are always feasible).
-var ErrInfeasible = errors.New("lsap: no perfect matching exists")
-
-// Forbidden is the cost marking an edge that must not be used.
-// Generators use it to encode incomplete bipartite graphs on the
-// complete-matrix representation the paper assumes.
-const Forbidden = math.MaxFloat64
 
 // Assignment is a perfect matching encoded as the paper's binary matrix
 // M, flattened: Assignment[i] = j means row (agent) i is matched to
@@ -55,20 +45,6 @@ func (a Assignment) Validate(n int) error {
 		seen[j] = true
 	}
 	return nil
-}
-
-// Inverse returns the column-to-row view of the matching.
-func (a Assignment) Inverse() Assignment {
-	inv := make(Assignment, len(a))
-	for i := range inv {
-		inv[i] = -1
-	}
-	for i, j := range a {
-		if j >= 0 && j < len(inv) {
-			inv[j] = i
-		}
-	}
-	return inv
 }
 
 // Potentials is an LP-duality certificate: u (row potentials) and
@@ -109,11 +85,11 @@ func (p Potentials) dualObjectiveAlong(a Assignment) float64 {
 }
 
 // VerifyFeasiblePotentials checks that every potential is finite and
-// u[i]+v[j] ≤ C[i][j] + tol on every non-forbidden edge. Feasible
-// potentials make DualObjective a certified lower bound on the cost of
-// any perfect matching of c, regardless of where the potentials came
-// from. A NaN compares false with everything, so it is refused up
-// front rather than left to pass the edge checks.
+// u[i]+v[j] ≤ C[i][j] + tol on every edge. Feasible potentials make
+// DualObjective a certified lower bound on the cost of any perfect
+// matching of c, regardless of where the potentials came from. A NaN
+// compares false with everything, so it is refused up front rather
+// than left to pass the edge checks.
 func VerifyFeasiblePotentials(c *Matrix, p Potentials, tol float64) error {
 	n := c.N
 	if len(p.U) != n || len(p.V) != n {
@@ -127,9 +103,6 @@ func VerifyFeasiblePotentials(c *Matrix, p Potentials, tol float64) error {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			cij := c.At(i, j)
-			if cij == Forbidden {
-				continue
-			}
 			if p.U[i]+p.V[j] > cij+tol {
 				return fmt.Errorf("lsap: potentials infeasible at (%d,%d): u+v = %g > C = %g",
 					i, j, p.U[i]+p.V[j], cij)

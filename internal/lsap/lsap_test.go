@@ -48,17 +48,6 @@ func TestAssignmentCost(t *testing.T) {
 	}
 }
 
-func TestAssignmentInverse(t *testing.T) {
-	a := Assignment{2, 0, 1}
-	inv := a.Inverse()
-	want := Assignment{1, 2, 0}
-	for i := range want {
-		if inv[i] != want[i] {
-			t.Fatalf("Inverse() = %v, want %v", inv, want)
-		}
-	}
-}
-
 func TestMatrixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMatrix(7)
@@ -192,13 +181,20 @@ func TestBruteForceNegativeCosts(t *testing.T) {
 	}
 }
 
-func TestBruteForceForbidden(t *testing.T) {
-	m, _ := FromRows([][]float64{
-		{Forbidden, 1},
-		{Forbidden, 2},
-	})
-	if _, err := (BruteForce{}).Solve(m); err != ErrInfeasible {
-		t.Fatalf("error = %v, want ErrInfeasible", err)
+// TestBruteForceRejectsNonFinite: the oracle refuses a matrix with an
+// infinite or NaN entry, and one whose every matching overflows to
+// +Inf. Comparisons cannot rank such costs, so any matching it
+// returned would be unchecked.
+func TestBruteForceRejectsNonFinite(t *testing.T) {
+	for _, rows := range [][][]float64{
+		{{math.Inf(1), 1}, {math.Inf(1), 2}},
+		{{1e308, 1e308}, {1e308, 1e308}},
+		{{math.NaN(), 1}, {2, 3}},
+	} {
+		m, _ := FromRows(rows)
+		if sol, err := (BruteForce{}).Solve(m); err == nil {
+			t.Fatalf("%v: accepted, assignment %v at cost %g", rows, sol.Assignment, sol.Cost)
+		}
 	}
 }
 

@@ -57,25 +57,18 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Negate returns a matrix suitable for maximisation problems: each
-// finite entry v is replaced by max−v, keeping all costs non-negative
-// as the paper's formulation requires.
+// entry v is replaced by max−v, keeping all costs non-negative as the
+// paper's formulation requires.
 func (m *Matrix) Negate() *Matrix {
 	maxV := math.Inf(-1)
 	for _, v := range m.Data {
-		if v != Forbidden && v > maxV {
+		if v > maxV {
 			maxV = v
 		}
 	}
-	if math.IsInf(maxV, -1) {
-		maxV = 0
-	}
 	out := NewMatrix(m.N)
 	for i, v := range m.Data {
-		if v == Forbidden {
-			out.Data[i] = Forbidden
-		} else {
-			out.Data[i] = maxV - v
-		}
+		out.Data[i] = maxV - v
 	}
 	return out
 }

@@ -348,22 +348,15 @@ func TestAttemptWallAndDetail(t *testing.T) {
 	}
 }
 
+// TestValidationSharedAcrossEntryPoints: a front end that refuses with
+// ValidateCosts refuses exactly what Solve would.
 func TestValidationSharedAcrossEntryPoints(t *testing.T) {
-	bad := [][]float64{{1, 2}, {3, math.Inf(1)}}
-	if _, err := Solve(bad); err == nil {
-		t.Error("Solve accepted +Inf")
-	}
-	if _, err := SolveKBest(bad, 2); err == nil {
-		t.Error("SolveKBest accepted +Inf")
-	}
-	if _, err := SolveBottleneck(bad); err == nil {
-		t.Error("SolveBottleneck accepted +Inf")
-	}
-	ragged := [][]float64{{1, 2}, {3}}
-	if _, err := SolveKBest(ragged, 1); err == nil {
-		t.Error("SolveKBest accepted ragged matrix")
-	}
-	if _, err := SolveBottleneck(ragged); err == nil {
-		t.Error("SolveBottleneck accepted ragged matrix")
+	for _, bad := range [][][]float64{{{1, 2}, {3, math.Inf(1)}}, {{1, 2}, {3}}} {
+		if _, err := Solve(bad); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("Solve(%v) = %v, want ErrInvalidInput", bad, err)
+		}
+		if err := ValidateCosts(bad); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("ValidateCosts(%v) = %v, want ErrInvalidInput", bad, err)
+		}
 	}
 }
